@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/event_queue.h"
+#include "sim/entity_stream.h"
 
 namespace itb::sim {
 

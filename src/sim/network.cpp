@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,7 +14,7 @@
 #include "dsp/units.h"
 #include "obs/capture.h"
 #include "obs/prof.h"
-#include "sim/event_queue.h"
+#include "sim/entity_stream.h"
 #include "sim/spatial_hash.h"
 
 namespace itb::sim {
@@ -37,11 +38,6 @@ constexpr std::uint64_t kReplyPhase = 1;
 std::uint64_t phase_counter(std::uint64_t round, std::uint64_t phase) {
   return round * 2 + phase;
 }
-
-/// Event payload packing: (failover << 63) | (slot << 32) | round. The
-/// failover decision is made at query time and must survive to the reply
-/// handler, so it rides in the event data.
-constexpr std::uint64_t kFailoverBit = 1ULL << 63;
 
 struct Shard {
   std::size_t group = 0;
@@ -544,21 +540,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
         const auto pid = static_cast<std::uint32_t>(g + 1);
         const auto tid = static_cast<std::uint32_t>(si + 1);
 
-        EventQueue queue;
-        // Schedule every poll this shard owns: tag at TDMA slot s, round r
-        // is queried at r*round + s*slot on its group's timeline. The event
-        // payload packs (slot << 32 | round) so handlers recover both.
-        for (std::size_t s = sh.begin; s < sh.end; ++s) {
-          const std::uint32_t tag = group_tags_[g][s];
-          for (std::size_t r = 0; r < cfg_.rounds; ++r) {
-            queue.schedule(
-                static_cast<double>(r) * round_us[g] +
-                    static_cast<double>(s) * slot_us,
-                EventType::kQuery, tag,
-                (static_cast<std::uint64_t>(s) << 32) | r);
-          }
-        }
-
         // Shard-local per-tag accounting: written here, then either copied
         // into the global per-tag array (keep_per_tag) or folded into this
         // shard's ShardAgg block (streaming). Local slots also keep the hot
@@ -681,18 +662,39 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
           st.backoff_remaining = mac::backoff_slots(cfg_.arq, st.fail_streak);
         };
 
-        while (!queue.empty()) {
-          const Event ev = queue.pop();
-          const std::uint32_t tag = ev.entity;
-          const std::uint64_t round = ev.data & 0xFFFFFFFFULL;
-          const auto slot =
-              static_cast<std::size_t>((ev.data >> 32) & 0x7FFFFFFFULL);
-          const std::size_t shard_slot = slot - sh.begin;
-          TagStats& ts = local[shard_slot];
-          ArqProgress& st = progress[shard_slot];
-          const TagLink& link = links_[tag];
+        // Interference bursts re-solve the reservation closed form live;
+        // only the busy probability changes per reply, so one config per
+        // shard keeps the hot loop free of allocations.
+        mac::ReservationConfig fault_rc;
+        fault_rc.scheme = cfg_.reservation;
+        fault_rc.cts_detection_probability = cfg_.cts_detection_probability;
 
-          if (ev.type == EventType::kQuery) {
+        // The shard's polls in time order, without a queue. Slot s of round
+        // r is queried at r*round + s*slot on its group's timeline, and a
+        // tag that answers replies mid-way through the advertising window
+        // that follows (query + adv/2 later). A slot lasts query + adv, so
+        // each reply lands before the shard's next query and the order is
+        // Q(r,s), R(r,s), Q(r,s+1), ... The clock check turns any rounding
+        // tie that would break this (a reply at or after the next query)
+        // into an error instead of a silently reordered run.
+        const double half_adv_us =
+            0.5 * cfg_.polling.advertising_interval_ms * 1e3;
+        double clock_us = -std::numeric_limits<double>::infinity();
+        for (std::size_t round = 0; round < cfg_.rounds; ++round) {
+          for (std::size_t slot = sh.begin; slot < sh.end; ++slot) {
+            const double t_query_us = static_cast<double>(round) * round_us[g] +
+                                      static_cast<double>(slot) * slot_us;
+            if (!(clock_us < t_query_us)) {
+              throw std::logic_error(
+                  "NetworkCoordinator::run: a reply does not precede the "
+                  "shard's next query (poll events out of time order)");
+            }
+            clock_us = t_query_us;
+            const std::uint32_t tag = group_tags_[g][slot];
+            const std::size_t shard_slot = slot - sh.begin;
+            TagStats& ts = local[shard_slot];
+            ArqProgress& st = progress[shard_slot];
+            const TagLink& link = links_[tag];
             ++ts.queries;
             const mac::LinkWaveform wf = st.fallback.current();
 
@@ -701,37 +703,37 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             // independent of the gates, so the digest contract holds.
             if (link.link_down) {
               ++ts.link_down_polls;
-              mark_disrupted(st, ev.time_us);
-              record_trace(ev.time_us, tag, round, PollOutcome::kLinkDown, wf,
+              mark_disrupted(st, t_query_us);
+              record_trace(t_query_us, tag, round, PollOutcome::kLinkDown, wf,
                            link.ap, false);
               continue;
             }
             bool failover = false;
             std::uint32_t serving_ap = link.ap;
-            if (timeline_.ap_down(link.ap, ev.time_us)) {
+            if (timeline_.ap_down(link.ap, t_query_us)) {
               if (link.has_failover &&
-                  !timeline_.ap_down(link.failover_ap, ev.time_us)) {
+                  !timeline_.ap_down(link.failover_ap, t_query_us)) {
                 failover = true;
                 serving_ap = link.failover_ap;
               } else {
                 ++ts.outage_skips;
-                mark_disrupted(st, ev.time_us);
-                record_trace(ev.time_us, tag, round, PollOutcome::kApOutage,
+                mark_disrupted(st, t_query_us);
+                record_trace(t_query_us, tag, round, PollOutcome::kApOutage,
                              wf, link.ap, false);
                 continue;
               }
             }
-            if (timeline_.tag_browned_out(tag, ev.time_us)) {
+            if (timeline_.tag_browned_out(tag, t_query_us)) {
               ++ts.brownout_skips;
-              mark_disrupted(st, ev.time_us);
-              record_trace(ev.time_us, tag, round, PollOutcome::kBrownout, wf,
+              mark_disrupted(st, t_query_us);
+              record_trace(t_query_us, tag, round, PollOutcome::kBrownout, wf,
                            serving_ap, false);
               continue;
             }
             if (st.backoff_remaining > 0) {
               --st.backoff_remaining;
               ++ts.backoff_skips;
-              record_trace(ev.time_us, tag, round, PollOutcome::kBackoff, wf,
+              record_trace(t_query_us, tag, round, PollOutcome::kBackoff, wf,
                            serving_ap, false);
               continue;
             }
@@ -755,107 +757,92 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             if (failover) ++ts.failover_polls;
             if (st.fallback.degraded()) ++ts.fallback_polls;
 
-            auto rng = entity_stream(cfg_.seed, tag,
-                                     phase_counter(round, kQueryPhase));
+            auto query_rng = entity_stream(cfg_.seed, tag,
+                                           phase_counter(round, kQueryPhase));
             const Real miss = failover ? link.failover_downlink_miss_prob
                                        : link.downlink_miss_prob;
-            if (rng.uniform() < miss) {
+            if (query_rng.uniform() < miss) {
               ++ts.downlink_misses;
-              record_trace(ev.time_us, tag, round, PollOutcome::kDownlinkMiss,
+              record_trace(t_query_us, tag, round, PollOutcome::kDownlinkMiss,
                            wf, serving_ap, retx);
-              resolve_attempt(ts, st, PollOutcome::kDownlinkMiss, ev.time_us);
+              resolve_attempt(ts, st, PollOutcome::kDownlinkMiss, t_query_us);
               continue;
             }
-            // The addressed tag replies mid-way through the advertising
-            // window that follows the query.
-            queue.schedule(ev.time_us + query_us +
-                               0.5 * cfg_.polling.advertising_interval_ms * 1e3,
-                           EventType::kReply, tag,
-                           ev.data | (failover ? kFailoverBit : 0));
-            continue;
-          }
 
-          // kReply: reservation outcome, then budget-level decode.
-          const bool failover = (ev.data & kFailoverBit) != 0;
-          const std::uint32_t serving_ap =
-              failover ? link.failover_ap : link.ap;
-          const mac::LinkWaveform wf = st.fallback.current();
-          const auto wi = static_cast<std::size_t>(wf);
-          const bool retx = cfg_.enable_arq && st.frag_attempts > 1;
-          auto rng =
-              entity_stream(cfg_.seed, tag, phase_counter(round, kReplyPhase));
-          ts.airtime_us += control_amortized_us;
+            // Reply: reservation outcome, then budget-level decode.
+            const double t_reply_us = t_query_us + query_us + half_adv_us;
+            clock_us = t_reply_us;
+            const auto wi = static_cast<std::size_t>(wf);
+            auto reply_rng = entity_stream(cfg_.seed, tag,
+                                           phase_counter(round, kReplyPhase));
+            ts.airtime_us += control_amortized_us;
 
-          // Interference bursts raise the CCA busy probability; the
-          // reservation closed form is cheap enough to re-solve live for
-          // the affected slots only.
-          const mac::ReservationOutcome* ocp = &oc;
-          mac::ReservationOutcome fault_oc;
-          const Real busy_boost =
-              timeline_.any() ? timeline_.channel_busy_boost(g, ev.time_us)
-                              : Real{0.0};
-          if (busy_boost > 0.0) {
-            mac::ReservationConfig rc;
-            rc.scheme = cfg_.reservation;
-            rc.channel_busy_probability = std::min(
-                channels_[g].busy_probability + busy_boost, Real{0.99});
-            rc.cts_detection_probability = cfg_.cts_detection_probability;
-            fault_oc = mac::reservation_outcome(rc);
-            ocp = &fault_oc;
-          }
+            const mac::ReservationOutcome* ocp = &oc;
+            mac::ReservationOutcome fault_oc;
+            const Real busy_boost =
+                timeline_.any() ? timeline_.channel_busy_boost(g, t_reply_us)
+                                : Real{0.0};
+            if (busy_boost > 0.0) {
+              fault_rc.channel_busy_probability = std::min(
+                  channels_[g].busy_probability + busy_boost, Real{0.99});
+              fault_oc = mac::reservation_outcome(fault_rc);
+              ocp = &fault_oc;
+            }
 
-          const double u = rng.uniform();
-          if (u >= ocp->p_clean + ocp->p_collision) {
-            ++ts.reservation_denied;  // silent: reservation not granted
-            record_trace(ev.time_us, tag, round,
-                         PollOutcome::kReservationDenied, wf, serving_ap,
-                         retx);
-            resolve_attempt(ts, st, PollOutcome::kReservationDenied,
-                            ev.time_us);
-            continue;
-          }
-          ts.airtime_us += attempt_airtime_us[wi];
-          ts.tx_energy_nj += attempt_energy_nj[g][wi];
-          if (u >= ocp->p_clean) {
-            ++ts.collisions;
-            record_trace(ev.time_us, tag, round, PollOutcome::kCollision, wf,
+            const double u = reply_rng.uniform();
+            if (u >= ocp->p_clean + ocp->p_collision) {
+              ++ts.reservation_denied;  // silent: reservation not granted
+              record_trace(t_reply_us, tag, round,
+                           PollOutcome::kReservationDenied, wf, serving_ap,
+                           retx);
+              resolve_attempt(ts, st, PollOutcome::kReservationDenied,
+                              t_reply_us);
+              continue;
+            }
+            ts.airtime_us += attempt_airtime_us[wi];
+            ts.tx_energy_nj += attempt_energy_nj[g][wi];
+            if (u >= ocp->p_clean) {
+              ++ts.collisions;
+              record_trace(t_reply_us, tag, round, PollOutcome::kCollision, wf,
+                           serving_ap, retx);
+              resolve_attempt(ts, st, PollOutcome::kCollision, t_reply_us);
+              continue;
+            }
+            // Active noise-floor faults (bursts, slumps) force the PER back
+            // through the closed form at the degraded SNR; clean slots use
+            // the precomputed per-rung table.
+            Real per = failover ? link.failover_waveform_per[wi]
+                                : link.waveform_per[wi];
+            const Real rise =
+                timeline_.any()
+                    ? timeline_.channel_noise_rise_db(g, t_reply_us)
+                    : Real{0.0};
+            if (rise > 0.0) {
+              const Real snr =
+                  (failover ? link.failover_snr_db : link.snr_db) -
+                  channels_[g].leakage_noise_rise_db - rise;
+              per = waveform_per_at(wf, snr, wire_bytes_);
+            }
+            if (reply_rng.uniform() < per) {
+              ++ts.decode_failures;
+              record_trace(t_reply_us, tag, round, PollOutcome::kDecodeFailure,
+                           wf, serving_ap, retx);
+              resolve_attempt(ts, st, PollOutcome::kDecodeFailure, t_reply_us);
+              continue;
+            }
+            ++ts.replies;
+            ts.payload_bits += cfg_.enable_arq ? frag_bits : payload_bits;
+            record_trace(t_reply_us, tag, round, PollOutcome::kDelivered, wf,
                          serving_ap, retx);
-            resolve_attempt(ts, st, PollOutcome::kCollision, ev.time_us);
-            continue;
+            const double done_us = t_reply_us + attempt_airtime_us[wi];
+            latency.record(done_us - pending_since[shard_slot]);
+            if (cells != nullptr) {
+              cells->observe(mid.latency, done_us - pending_since[shard_slot]);
+            }
+            pending_since[shard_slot] =
+                static_cast<double>(round + 1) * round_us[g];
+            resolve_attempt(ts, st, PollOutcome::kDelivered, done_us);
           }
-          // Active noise-floor faults (bursts, slumps) force the PER back
-          // through the closed form at the degraded SNR; clean slots use
-          // the precomputed per-rung table.
-          Real per = failover ? link.failover_waveform_per[wi]
-                              : link.waveform_per[wi];
-          const Real rise =
-              timeline_.any()
-                  ? timeline_.channel_noise_rise_db(g, ev.time_us)
-                  : Real{0.0};
-          if (rise > 0.0) {
-            const Real snr = (failover ? link.failover_snr_db : link.snr_db) -
-                             channels_[g].leakage_noise_rise_db - rise;
-            per = waveform_per_at(wf, snr, wire_bytes_);
-          }
-          if (rng.uniform() < per) {
-            ++ts.decode_failures;
-            record_trace(ev.time_us, tag, round, PollOutcome::kDecodeFailure,
-                         wf, serving_ap, retx);
-            resolve_attempt(ts, st, PollOutcome::kDecodeFailure, ev.time_us);
-            continue;
-          }
-          ++ts.replies;
-          ts.payload_bits += cfg_.enable_arq ? frag_bits : payload_bits;
-          record_trace(ev.time_us, tag, round, PollOutcome::kDelivered, wf,
-                       serving_ap, retx);
-          const double done_us = ev.time_us + attempt_airtime_us[wi];
-          latency.record(done_us - pending_since[shard_slot]);
-          if (cells != nullptr) {
-            cells->observe(mid.latency, done_us - pending_since[shard_slot]);
-          }
-          pending_since[shard_slot] =
-              static_cast<double>(round + 1) * round_us[g];
-          resolve_attempt(ts, st, PollOutcome::kDelivered, done_us);
         }
 
         // Static per-tag link annotations + deterministic harvest model.

@@ -45,10 +45,11 @@
 //
 // Determinism: see DESIGN.md "Network simulator determinism" and "Fault
 // model and recovery determinism". Shards are a fixed partition of the tag
-// list (independent of thread count), each shard runs its own EventQueue,
-// every stochastic decision draws from an entity_stream() substream keyed
-// by (tag, round), the fault timeline is immutable and queried as a pure
-// function of (entity, time), ARQ/fallback state is a pure fold over one
+// list (independent of thread count), each shard walks its polls in their
+// closed-form time order (round, slot, then the slot's reply, which lands
+// before the next query), every stochastic decision draws from an
+// entity_stream() substream keyed by (tag, round), the fault timeline is
+// immutable and queried as a pure function of (entity, time), ARQ/fallback state is a pure fold over one
 // tag's own attempt outcomes, and the final reduction is a sequential
 // index-ordered merge — so run() is bit-identical at any thread count
 // (asserted in tests/sim_test.cpp and tests/resilience_test.cpp).

@@ -5,7 +5,7 @@
 
 #include "core/monte_carlo.h"
 #include "dsp/rng.h"
-#include "sim/event_queue.h"
+#include "sim/entity_stream.h"
 
 double trial_draw(std::uint64_t sweep_seed, std::uint64_t point,
                   std::uint64_t trial) {

@@ -5,6 +5,7 @@
 // self vs child time, and the PollRecord ring must drop oldest-first
 // without touching the digest.
 #include <cctype>
+#include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -382,6 +383,34 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
   }
   EXPECT_EQ(stat_digests[0], bare_digest)
       << "attaching a RunCapture changed the simulation result";
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(NetworkCaptureTest, CaptureDigestsPinned) {
+  // The fault-injected capture's metrics snapshot and Perfetto JSON export
+  // (FNV-1a over its bytes), pinned to recorded values rather than to a
+  // second run of the same build. The 16-event per-shard rings keep only
+  // each shard's newest events, so that export also pins the order in
+  // which every shard handles its polls, not just the set of outcomes.
+  const sim::NetworkConfig cfg = ward_config();
+  obs::RunCapture capture;
+  const sim::NetworkStats s = sim::NetworkCoordinator(cfg).run(&capture);
+  EXPECT_EQ(s.digest(), 0xe774b24ac24890ddULL);
+  EXPECT_EQ(capture.metrics.digest(), 0x098b29c02030db59ULL);
+  EXPECT_EQ(fnv1a(trace_json(capture.trace)), 0xcdb806285ccb98fbULL);
+
+  obs::RunCapture bounded;
+  bounded.trace_events_per_shard = 16;
+  (void)sim::NetworkCoordinator(cfg).run(&bounded);
+  EXPECT_EQ(fnv1a(trace_json(bounded.trace)), 0xcd1cce903261ef8eULL);
 }
 
 TEST(NetworkCaptureTest, TraceJsonParsesBackWithFaultSpans) {
