@@ -1,10 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
+
+#include "obs/fnv1a.h"
 
 namespace itb::obs {
 
@@ -25,28 +26,6 @@ std::string prometheus_name(const std::string& name) {
   }
   return out;
 }
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  void mix(const std::string& s) {
-    for (const char c : s) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001B3ULL;
-    }
-    mix(static_cast<std::uint64_t>(s.size()));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 }  // namespace
 

@@ -4,31 +4,11 @@
 #include <ostream>
 #include <tuple>
 
+#include "obs/fnv1a.h"
+
 namespace itb::obs {
 
 namespace {
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void mix(const char* s) {
-    std::size_t len = 0;
-    for (; s[len] != '\0'; ++len) {
-      hash_ ^= static_cast<unsigned char>(s[len]);
-      hash_ *= 0x100000001B3ULL;
-    }
-    mix(static_cast<std::uint64_t>(len));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
 
 void write_json_string(std::ostream& os, const std::string& s) {
   os << '"';
@@ -151,8 +131,8 @@ std::uint64_t TraceLog::digest() const {
     h.mix(e.name);
     h.mix(e.cat);
     h.mix(static_cast<std::uint64_t>(e.phase));
-    h.mix(e.pid);
-    h.mix(e.tid);
+    h.mix(static_cast<std::uint64_t>(e.pid));
+    h.mix(static_cast<std::uint64_t>(e.tid));
     h.mix(static_cast<std::uint64_t>(e.ts_us));
     h.mix(static_cast<std::uint64_t>(e.dur_us));
     if (e.arg_name != nullptr) {

@@ -45,37 +45,28 @@ struct Shard {
   std::size_t end = 0;
 };
 
-/// Streaming stats block: everything the final reduction needs from one
-/// shard when per-tag records are not kept. Each shard folds its local
-/// TagStats into one of these as it finishes, so memory stays
-/// O(shards + threads * shard_tags) instead of O(tags) — the difference
-/// between 1M-tag runs fitting in cache-adjacent memory and a ~250 MB
-/// TagStats array. Blocks merge sequentially in shard-index order (==
-/// group-major slot order, the same order the per-tag reduction walks),
-/// so the merged result is thread-count invariant.
-struct ShardAgg {
-  std::uint64_t queries = 0;
-  std::uint64_t replies = 0;
-  std::uint64_t downlink_misses = 0;
-  std::uint64_t reservation_denied = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t decode_failures = 0;
-  std::uint64_t messages_offered = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t backoff_skips = 0;
-  std::uint64_t brownout_skips = 0;
-  std::uint64_t outage_skips = 0;
-  std::uint64_t link_down_polls = 0;
-  std::uint64_t failover_polls = 0;
-  std::uint64_t fallback_polls = 0;
+/// Reduction block: the poll counters plus the six double sums the fleet
+/// means need. Without keep_per_tag each shard folds its tags into one of
+/// these, so memory stays O(shards + threads * shard_tags) instead of a
+/// ~250 MB TagStats array at 1M tags; the blocks then merge in shard-index
+/// order, so the result is thread-count invariant.
+struct ShardAgg : PollCounters {
   double payload_bits = 0.0;
   double tx_energy_nj = 0.0;
   double sum_tag_goodput = 0.0;
   double sum_airtime_duty = 0.0;
   double sum_harvest_duty = 0.0;
   double sum_power_uw = 0.0;
+
+  void merge(const ShardAgg& o) {
+    *this += o;
+    payload_bits += o.payload_bits;
+    tx_energy_nj += o.tx_energy_nj;
+    sum_tag_goodput += o.sum_tag_goodput;
+    sum_airtime_duty += o.sum_airtime_duty;
+    sum_harvest_duty += o.sum_harvest_duty;
+    sum_power_uw += o.sum_power_uw;
+  }
 };
 
 /// Per-tag ARQ + fallback progress (lives in the owning shard only; a pure
@@ -118,27 +109,6 @@ struct PollRing {
     ring[head] = r;
     head = (head + 1) % capacity;
   }
-};
-
-/// Metric ids for the sim-domain registry (registered once per run()).
-struct SimMetricIds {
-  obs::MetricId polls = 0;
-  obs::MetricId replies = 0;
-  obs::MetricId downlink_misses = 0;
-  obs::MetricId reservation_denied = 0;
-  obs::MetricId collisions = 0;
-  obs::MetricId decode_failures = 0;
-  obs::MetricId retries = 0;
-  obs::MetricId backoff = 0;
-  obs::MetricId delivered = 0;
-  obs::MetricId dropped = 0;
-  obs::MetricId downshifts = 0;
-  obs::MetricId upshifts = 0;
-  obs::MetricId brownouts = 0;
-  obs::MetricId outages = 0;
-  obs::MetricId failovers = 0;
-  obs::MetricId link_down = 0;
-  obs::MetricId latency = 0;
 };
 
 }  // namespace
@@ -439,6 +409,11 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   // shift sets the synthesizer power). uW * us = pJ, stored as nJ.
   const itb::backscatter::IcPowerModel power(cfg_.ic_power);
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
+  std::vector<Real> shift_hz(num_groups);
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    shift_hz[g] =
+        std::abs(itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz);
+  }
   std::array<double, mac::kNumLinkWaveforms> attempt_airtime_us{};
   std::vector<std::array<double, mac::kNumLinkWaveforms>> attempt_energy_nj(
       num_groups);
@@ -446,13 +421,28 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
     const auto wf = static_cast<mac::LinkWaveform>(w);
     attempt_airtime_us[w] = mac::waveform_airtime_us(wf, wire_bytes_);
     for (std::size_t g = 0; g < num_groups; ++g) {
-      const Real shift_hz = std::abs(
-          itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz);
       attempt_energy_nj[g][w] =
-          power.active_power(mac::waveform_rate(wf), shift_hz).total_uw() *
+          power.active_power(mac::waveform_rate(wf), shift_hz[g]).total_uw() *
           attempt_airtime_us[w] * 1e-3;
     }
   }
+
+  // Folds one tag into a reduction block: its counters, plus its goodput,
+  // duty-cycle and power terms at its group's timeline length and SSB
+  // shift. Both reduction paths below fold through here.
+  const auto add = [&](ShardAgg& agg, const TagStats& ts, double elapsed,
+                       Real shift) {
+    agg += ts;
+    agg.payload_bits += ts.payload_bits;
+    agg.tx_energy_nj += ts.tx_energy_nj;
+    agg.sum_tag_goodput += mac::safe_goodput_kbps(ts.payload_bits, elapsed);
+    const double airtime_duty = elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
+    const double harvest_duty = elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
+    agg.sum_airtime_duty += airtime_duty;
+    agg.sum_harvest_duty += harvest_duty;
+    agg.sum_power_uw += power.average_power_uw(cfg_.rate, shift,
+                                               std::min(airtime_duty, 1.0));
+  };
 
   // Fixed shard partition: contiguous slot ranges within each group,
   // independent of num_threads (part of the result's identity).
@@ -480,28 +470,18 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   // reduction discipline the stats follow, so the snapshot/trace inherit
   // the digest contract. Null capture skips all of it.
   obs::MetricsRegistry registry;
-  SimMetricIds mid{};
+  std::array<obs::MetricId, kPollCounters.size()> counter_ids{};
+  obs::MetricId latency_id = 0;
   std::vector<obs::MetricCells> shard_cells;
   std::vector<obs::TraceBuffer> shard_tbuf;
   if (capture != nullptr) {
-    mid.polls = registry.counter("itb.sim.polls_total");
-    mid.replies = registry.counter("itb.sim.replies_total");
-    mid.downlink_misses = registry.counter("itb.sim.downlink_misses");
-    mid.reservation_denied = registry.counter("itb.sim.reservation_denied");
-    mid.collisions = registry.counter("itb.sim.collisions");
-    mid.decode_failures = registry.counter("itb.sim.decode_failures");
-    mid.retries = registry.counter("itb.arq.retries");
-    mid.backoff = registry.counter("itb.arq.backoff_slots");
-    mid.delivered = registry.counter("itb.arq.messages_delivered");
-    mid.dropped = registry.counter("itb.arq.messages_dropped");
-    mid.downshifts = registry.counter("itb.rate.downshifts");
-    mid.upshifts = registry.counter("itb.rate.upshifts");
-    mid.brownouts = registry.counter("itb.faults.brownout_skips");
-    mid.outages = registry.counter("itb.faults.outage_skips");
-    mid.failovers = registry.counter("itb.faults.failover_polls");
-    mid.link_down = registry.counter("itb.faults.link_down_polls");
-    mid.latency = registry.histogram("itb.sim.poll_latency_us",
-                                     {1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
+    for (std::size_t c = 0; c < kPollCounters.size(); ++c) {
+      if (kPollCounters[c].metric != nullptr) {
+        counter_ids[c] = registry.counter(kPollCounters[c].metric);
+      }
+    }
+    latency_id = registry.histogram("itb.sim.poll_latency_us",
+                                    {1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
     shard_cells.reserve(shards.size());
     for (std::size_t si = 0; si < shards.size(); ++si) {
       shard_cells.push_back(registry.make_cells());
@@ -695,7 +675,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             TagStats& ts = local[shard_slot];
             ArqProgress& st = progress[shard_slot];
             const TagLink& link = links_[tag];
-            ++ts.queries;
+            ++ts.queries_sent;
             const mac::LinkWaveform wf = st.fallback.current();
 
             // Fault + policy gates, cheapest first. Skipped polls make no
@@ -830,14 +810,14 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               resolve_attempt(ts, st, PollOutcome::kDecodeFailure, t_reply_us);
               continue;
             }
-            ++ts.replies;
+            ++ts.replies_received;
             ts.payload_bits += cfg_.enable_arq ? frag_bits : payload_bits;
             record_trace(t_reply_us, tag, round, PollOutcome::kDelivered, wf,
                          serving_ap, retx);
             const double done_us = t_reply_us + attempt_airtime_us[wi];
             latency.record(done_us - pending_since[shard_slot]);
             if (cells != nullptr) {
-              cells->observe(mid.latency, done_us - pending_since[shard_slot]);
+              cells->observe(latency_id, done_us - pending_since[shard_slot]);
             }
             pending_since[shard_slot] =
                 static_cast<double>(round + 1) * round_us[g];
@@ -845,7 +825,9 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
           }
         }
 
-        // Static per-tag link annotations + deterministic harvest model.
+        // Static per-tag link annotations + deterministic harvest model,
+        // then the tag leaves the shard: copied into the tag-indexed array
+        // (keep_per_tag) or folded, in slot order, into the shard's block.
         for (std::size_t s = sh.begin; s < sh.end; ++s) {
           const std::uint32_t tag = group_tags_[g][s];
           TagStats& ts = local[s - sh.begin];
@@ -867,73 +849,20 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               channels_[g].elapsed_us /
               (cfg_.polling.advertising_interval_ms * 1e3);
           ts.harvest_us = adv_events * 3.0 * kAdvPacketUs +
-                          static_cast<double>(ts.queries) * query_us;
+                          static_cast<double>(ts.queries_sent) * query_us;
           // Metrics flush: counters derive from the TagStats this shard
           // just finished writing, so the hot loop pays nothing for them.
           if (cells != nullptr) {
-            cells->add(mid.polls, ts.queries);
-            cells->add(mid.replies, ts.replies);
-            cells->add(mid.downlink_misses, ts.downlink_misses);
-            cells->add(mid.reservation_denied, ts.reservation_denied);
-            cells->add(mid.collisions, ts.collisions);
-            cells->add(mid.decode_failures, ts.decode_failures);
-            cells->add(mid.retries, ts.retransmissions);
-            cells->add(mid.backoff, ts.backoff_skips);
-            cells->add(mid.delivered, ts.messages_delivered);
-            cells->add(mid.dropped, ts.messages_dropped);
-            cells->add(mid.downshifts, ts.rate_downshifts);
-            cells->add(mid.upshifts, ts.rate_upshifts);
-            cells->add(mid.brownouts, ts.brownout_skips);
-            cells->add(mid.outages, ts.outage_skips);
-            cells->add(mid.failovers, ts.failover_polls);
-            cells->add(mid.link_down, ts.link_down_polls);
+            for (std::size_t c = 0; c < kPollCounters.size(); ++c) {
+              if (kPollCounters[c].metric != nullptr) {
+                cells->add(counter_ids[c], ts.*kPollCounters[c].field);
+              }
+            }
           }
-        }
-
-        if (cfg_.keep_per_tag) {
-          // Copy into the tag-indexed global array: the reduction below and
-          // out.per_tag read the exact values the old global-array path
-          // produced, so digests are bit-identical.
-          for (std::size_t s = sh.begin; s < sh.end; ++s) {
-            tag_stats[group_tags_[g][s]] = local[s - sh.begin];
-          }
-        } else {
-          // Streaming: fold this shard's tags into its aggregate block in
-          // slot order. elapsed/shift are per-group constants, so the fold
-          // computes the same per-tag terms the reduction loop would.
-          ShardAgg& agg = shard_agg[si];
-          const double elapsed = channels_[g].elapsed_us;
-          const Real shift_hz =
-              itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz;
-          for (const TagStats& ts : local) {
-            agg.queries += ts.queries;
-            agg.replies += ts.replies;
-            agg.downlink_misses += ts.downlink_misses;
-            agg.reservation_denied += ts.reservation_denied;
-            agg.collisions += ts.collisions;
-            agg.decode_failures += ts.decode_failures;
-            agg.messages_offered += ts.messages_offered;
-            agg.messages_delivered += ts.messages_delivered;
-            agg.messages_dropped += ts.messages_dropped;
-            agg.retransmissions += ts.retransmissions;
-            agg.backoff_skips += ts.backoff_skips;
-            agg.brownout_skips += ts.brownout_skips;
-            agg.outage_skips += ts.outage_skips;
-            agg.link_down_polls += ts.link_down_polls;
-            agg.failover_polls += ts.failover_polls;
-            agg.fallback_polls += ts.fallback_polls;
-            agg.payload_bits += ts.payload_bits;
-            agg.tx_energy_nj += ts.tx_energy_nj;
-            agg.sum_tag_goodput +=
-                mac::safe_goodput_kbps(ts.payload_bits, elapsed);
-            const double airtime_duty =
-                elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
-            const double harvest_duty =
-                elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
-            agg.sum_airtime_duty += airtime_duty;
-            agg.sum_harvest_duty += harvest_duty;
-            agg.sum_power_uw += power.average_power_uw(
-                cfg_.rate, std::abs(shift_hz), std::min(airtime_duty, 1.0));
+          if (cfg_.keep_per_tag) {
+            tag_stats[tag] = ts;
+          } else {
+            add(shard_agg[si], ts, channels_[g].elapsed_us, shift_hz[g]);
           }
         }
       });
@@ -944,11 +873,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   NetworkStats out;
   out.num_tags = n;
   out.num_channels = num_groups;
-  out.channels = channels_;
-  for (ChannelStats& ch : out.channels) {
-    ch.replies = 0;
-    ch.collisions = 0;
-  }
+  out.channels = channels_;  // plan-time fields; replies/collisions are 0
   for (const LatencyHistogram& h : shard_latency) out.query_latency.merge(h);
   for (const LatencyHistogram& h : shard_recovery) out.recovery_time.merge(h);
   for (const RetryHistogram& h : shard_retries) out.retry_histogram.merge(h);
@@ -980,102 +905,48 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
     out.trace_dropped = emitted - out.trace.size();
   }
 
-  double total_bits = 0.0;
-  double sum_tag_goodput = 0.0;
-  double sum_airtime_duty = 0.0;
-  double sum_harvest_duty = 0.0;
-  double sum_power_uw = 0.0;
-  double total_energy_nj = 0.0;
   for (std::size_t g = 0; g < num_groups; ++g) {
     out.elapsed_us = std::max(out.elapsed_us, channels_[g].elapsed_us);
   }
+  // Per-tag mode folds tag by tag, group-major, into one block; streaming
+  // merges the shard blocks in shard order, which is the same group-major
+  // walk cut at shard boundaries.
+  ShardAgg total;
+  const auto count_channel = [&](std::size_t g, const PollCounters& c) {
+    out.channels[g].replies += c.replies_received;
+    out.channels[g].collisions += c.collisions;
+  };
   if (cfg_.keep_per_tag) {
     for (std::size_t g = 0; g < num_groups; ++g) {
-      const double elapsed = channels_[g].elapsed_us;
-      const Real shift_hz =
-          itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]) - ble_hz;
       for (const std::uint32_t t : group_tags_[g]) {
-        const TagStats& ts = tag_stats[t];
-        out.queries_sent += ts.queries;
-        out.replies_received += ts.replies;
-        out.downlink_misses += ts.downlink_misses;
-        out.reservation_denied += ts.reservation_denied;
-        out.collisions += ts.collisions;
-        out.decode_failures += ts.decode_failures;
-        out.messages_offered += ts.messages_offered;
-        out.messages_delivered += ts.messages_delivered;
-        out.messages_dropped += ts.messages_dropped;
-        out.retransmissions += ts.retransmissions;
-        out.backoff_skips += ts.backoff_skips;
-        out.brownout_skips += ts.brownout_skips;
-        out.outage_skips += ts.outage_skips;
-        out.link_down_polls += ts.link_down_polls;
-        out.failover_polls += ts.failover_polls;
-        out.fallback_polls += ts.fallback_polls;
-        out.channels[g].replies += ts.replies;
-        out.channels[g].collisions += ts.collisions;
-        total_bits += ts.payload_bits;
-        total_energy_nj += ts.tx_energy_nj;
-        sum_tag_goodput += mac::safe_goodput_kbps(ts.payload_bits, elapsed);
-        const double airtime_duty =
-            elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
-        const double harvest_duty =
-            elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
-        sum_airtime_duty += airtime_duty;
-        sum_harvest_duty += harvest_duty;
-        sum_power_uw += power.average_power_uw(cfg_.rate, std::abs(shift_hz),
-                                               std::min(airtime_duty, 1.0));
+        add(total, tag_stats[t], channels_[g].elapsed_us, shift_hz[g]);
+        count_channel(g, tag_stats[t]);
       }
     }
   } else {
-    // Streaming merge: shard blocks in index order. The shard list is built
-    // group-major (same order the per-tag loop above walks), and the
-    // partition is fixed by shard_tags, so the merged totals are identical
-    // at any thread count.
     for (std::size_t si = 0; si < shards.size(); ++si) {
-      const ShardAgg& agg = shard_agg[si];
-      out.queries_sent += agg.queries;
-      out.replies_received += agg.replies;
-      out.downlink_misses += agg.downlink_misses;
-      out.reservation_denied += agg.reservation_denied;
-      out.collisions += agg.collisions;
-      out.decode_failures += agg.decode_failures;
-      out.messages_offered += agg.messages_offered;
-      out.messages_delivered += agg.messages_delivered;
-      out.messages_dropped += agg.messages_dropped;
-      out.retransmissions += agg.retransmissions;
-      out.backoff_skips += agg.backoff_skips;
-      out.brownout_skips += agg.brownout_skips;
-      out.outage_skips += agg.outage_skips;
-      out.link_down_polls += agg.link_down_polls;
-      out.failover_polls += agg.failover_polls;
-      out.fallback_polls += agg.fallback_polls;
-      out.channels[shards[si].group].replies += agg.replies;
-      out.channels[shards[si].group].collisions += agg.collisions;
-      total_bits += agg.payload_bits;
-      total_energy_nj += agg.tx_energy_nj;
-      sum_tag_goodput += agg.sum_tag_goodput;
-      sum_airtime_duty += agg.sum_airtime_duty;
-      sum_harvest_duty += agg.sum_harvest_duty;
-      sum_power_uw += agg.sum_power_uw;
+      total.merge(shard_agg[si]);
+      count_channel(shards[si].group, shard_agg[si]);
     }
   }
+  static_cast<PollCounters&>(out) = total;
   out.aggregate_goodput_kbps =
-      mac::safe_goodput_kbps(total_bits, out.elapsed_us);
+      mac::safe_goodput_kbps(total.payload_bits, out.elapsed_us);
   const std::uint64_t completed = out.messages_delivered + out.messages_dropped;
   if (completed > 0) {
     out.delivery_ratio = static_cast<double>(out.messages_delivered) /
                          static_cast<double>(completed);
   }
-  if (total_bits > 0.0) {
-    out.energy_per_delivered_byte_nj = total_energy_nj / (total_bits / 8.0);
+  if (total.payload_bits > 0.0) {
+    out.energy_per_delivered_byte_nj =
+        total.tx_energy_nj / (total.payload_bits / 8.0);
   }
   if (n > 0) {
     const auto dn = static_cast<double>(n);
-    out.mean_tag_goodput_kbps = sum_tag_goodput / dn;
-    out.mean_airtime_duty = sum_airtime_duty / dn;
-    out.mean_harvest_duty = sum_harvest_duty / dn;
-    out.mean_tag_power_uw = sum_power_uw / dn;
+    out.mean_tag_goodput_kbps = total.sum_tag_goodput / dn;
+    out.mean_airtime_duty = total.sum_airtime_duty / dn;
+    out.mean_harvest_duty = total.sum_harvest_duty / dn;
+    out.mean_tag_power_uw = total.sum_power_uw / dn;
   }
   if (cfg_.keep_per_tag) out.per_tag = std::move(tag_stats);
 

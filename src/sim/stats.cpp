@@ -1,8 +1,9 @@
 #include "sim/stats.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+
+#include "obs/fnv1a.h"
 
 namespace itb::sim {
 
@@ -38,8 +39,9 @@ double LatencyHistogram::mean_us() const {
 double LatencyHistogram::quantile_us(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
+  // Rank 1 is the lowest sample: q = 0 must not land on an empty bin 0.
+  const auto target = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
   std::uint64_t seen = 0;
   for (std::size_t b = 0; b < kBins; ++b) {
     seen += counts[b];
@@ -84,20 +86,7 @@ const char* poll_outcome_name(PollOutcome o) {
 
 namespace {
 
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xFF;
-      hash_ *= 0x100000001B3ULL;
-    }
-  }
-  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
+using obs::Fnv1a;
 
 void mix_histogram(Fnv1a& h, const LatencyHistogram& lat) {
   for (const auto c : lat.counts) h.mix(c);
@@ -160,8 +149,8 @@ std::uint64_t NetworkStats::digest() const {
     h.mix(static_cast<std::uint64_t>(t.wifi_channel));
     h.mix(static_cast<std::uint64_t>(t.helper));
     h.mix(static_cast<std::uint64_t>(t.ap));
-    h.mix(t.queries);
-    h.mix(t.replies);
+    h.mix(t.queries_sent);
+    h.mix(t.replies_received);
     h.mix(t.downlink_misses);
     h.mix(t.reservation_denied);
     h.mix(t.collisions);

@@ -41,7 +41,7 @@ struct LatencyHistogram {
   void merge(const LatencyHistogram& other);
   double mean_us() const;
   /// Upper edge of the bin holding the q-quantile sample (q in [0, 1]);
-  /// 0 when empty.
+  /// q = 0 is the lowest sample's bin. 0 when empty.
   double quantile_us(double q) const;
 };
 
@@ -85,36 +85,82 @@ struct PollRecord {
   bool retransmission = false;
 };
 
+/// The per-tag poll counters, declared once. TagStats (one tag),
+/// NetworkStats (the fleet) and the simulator's per-shard reduction block
+/// all inherit these fields, and every fold, merge and metrics export loops
+/// over kPollCounters instead of naming them. Adding a counter is one field
+/// here plus one row there, and a decision about whether NetworkStats::
+/// digest() hashes it.
+struct PollCounters {
+  std::uint64_t queries_sent = 0;        ///< polls addressed to the tag
+  std::uint64_t replies_received = 0;    ///< successfully decoded replies
+  std::uint64_t downlink_misses = 0;     ///< tag never heard the query
+  std::uint64_t reservation_denied = 0;  ///< stayed silent (RTS not granted)
+  std::uint64_t collisions = 0;
+  std::uint64_t decode_failures = 0;
+  // --- resilience (ARQ / faults / fallback) ---------------------------
+  std::uint64_t retransmissions = 0;
+  std::uint64_t backoff_skips = 0;       ///< slots idled by ARQ backoff
+  std::uint64_t messages_delivered = 0;  ///< all fragments decoded
+  std::uint64_t messages_dropped = 0;    ///< retry budget / attempts exhausted
+  std::uint64_t rate_downshifts = 0;
+  std::uint64_t rate_upshifts = 0;
+  std::uint64_t brownout_skips = 0;   ///< slots lost to harvest brownouts
+  std::uint64_t outage_skips = 0;     ///< slots lost to AP outage (no failover)
+  std::uint64_t failover_polls = 0;   ///< polls served by the backup AP
+  std::uint64_t link_down_polls = 0;  ///< polls refused: budget declared link dead
+  std::uint64_t messages_offered = 0;  ///< delivered + dropped + in flight
+  std::uint64_t fallback_polls = 0;    ///< attempts below the configured rate
+};
+
+struct PollCounterRow {
+  std::uint64_t PollCounters::*field;
+  const char* metric;  ///< obs counter name; nullptr = not exported
+};
+
+/// One row per PollCounters field. Rows run in metrics-registration order,
+/// which the pinned metrics digest freezes; unexported counters go last.
+inline constexpr std::array<PollCounterRow, 18> kPollCounters = {{
+    {&PollCounters::queries_sent, "itb.sim.polls_total"},
+    {&PollCounters::replies_received, "itb.sim.replies_total"},
+    {&PollCounters::downlink_misses, "itb.sim.downlink_misses"},
+    {&PollCounters::reservation_denied, "itb.sim.reservation_denied"},
+    {&PollCounters::collisions, "itb.sim.collisions"},
+    {&PollCounters::decode_failures, "itb.sim.decode_failures"},
+    {&PollCounters::retransmissions, "itb.arq.retries"},
+    {&PollCounters::backoff_skips, "itb.arq.backoff_slots"},
+    {&PollCounters::messages_delivered, "itb.arq.messages_delivered"},
+    {&PollCounters::messages_dropped, "itb.arq.messages_dropped"},
+    {&PollCounters::rate_downshifts, "itb.rate.downshifts"},
+    {&PollCounters::rate_upshifts, "itb.rate.upshifts"},
+    {&PollCounters::brownout_skips, "itb.faults.brownout_skips"},
+    {&PollCounters::outage_skips, "itb.faults.outage_skips"},
+    {&PollCounters::failover_polls, "itb.faults.failover_polls"},
+    {&PollCounters::link_down_polls, "itb.faults.link_down_polls"},
+    {&PollCounters::messages_offered, nullptr},
+    {&PollCounters::fallback_polls, nullptr},
+}};
+static_assert(sizeof(PollCounters) ==
+                  kPollCounters.size() * sizeof(std::uint64_t),
+              "every PollCounters field needs a kPollCounters row");
+
+/// Adds every counter of `b` to `a`.
+inline PollCounters& operator+=(PollCounters& a, const PollCounters& b) {
+  for (const PollCounterRow& row : kPollCounters) a.*row.field += b.*row.field;
+  return a;
+}
+
 /// Per-tag accounting, written by exactly one shard (disjoint slots).
-struct TagStats {
+struct TagStats : PollCounters {
   std::uint32_t tag_id = 0;
   unsigned wifi_channel = 0;      ///< FDMA group the tag replies on
   std::uint32_t helper = 0;       ///< nearest BLE helper index
   std::uint32_t ap = 0;           ///< nearest same-channel AP index
-  std::uint64_t queries = 0;      ///< polls addressed to this tag
-  std::uint64_t replies = 0;      ///< successfully decoded replies
-  std::uint64_t downlink_misses = 0;
-  std::uint64_t reservation_denied = 0;  ///< stayed silent (RTS not granted)
-  std::uint64_t collisions = 0;
-  std::uint64_t decode_failures = 0;
   double payload_bits = 0.0;
   double airtime_us = 0.0;   ///< tag transmit airtime (data + control)
   double harvest_us = 0.0;   ///< time illuminated by helper/AP carriers
   double snr_db = 0.0;       ///< budget-level reply SNR (after leakage rise)
   double reply_per = 0.0;    ///< closed-form PER at that SNR
-  // --- resilience (ARQ / faults / fallback) ---------------------------
-  std::uint64_t messages_offered = 0;    ///< delivered + dropped + in flight
-  std::uint64_t messages_delivered = 0;  ///< all fragments decoded
-  std::uint64_t messages_dropped = 0;    ///< retry budget / attempts exhausted
-  std::uint64_t retransmissions = 0;
-  std::uint64_t backoff_skips = 0;   ///< slots idled by ARQ backoff
-  std::uint64_t brownout_skips = 0;  ///< slots lost to harvest brownouts
-  std::uint64_t outage_skips = 0;    ///< slots lost to AP outage (no failover)
-  std::uint64_t link_down_polls = 0; ///< polls refused: budget declared link dead
-  std::uint64_t failover_polls = 0;  ///< polls served by the backup AP
-  std::uint64_t fallback_polls = 0;  ///< attempts below the configured rate
-  std::uint64_t rate_downshifts = 0;
-  std::uint64_t rate_upshifts = 0;
   double tx_energy_nj = 0.0;  ///< transmit energy over all attempts (IC model)
 };
 
@@ -131,16 +177,11 @@ struct ChannelStats {
   double elapsed_us = 0.0;  ///< this group's TDMA timeline length
 };
 
-struct NetworkStats {
+/// Fleet totals: the PollCounters fields sum every tag's counters.
+struct NetworkStats : PollCounters {
   std::size_t num_tags = 0;
   std::size_t num_channels = 0;
   double elapsed_us = 0.0;  ///< max over channel timelines
-  std::uint64_t queries_sent = 0;
-  std::uint64_t replies_received = 0;
-  std::uint64_t downlink_misses = 0;
-  std::uint64_t reservation_denied = 0;
-  std::uint64_t collisions = 0;
-  std::uint64_t decode_failures = 0;
   double aggregate_goodput_kbps = 0.0;
   double mean_tag_goodput_kbps = 0.0;
   LatencyHistogram query_latency;
@@ -151,16 +192,6 @@ struct NetworkStats {
   /// Mean tag power draw at its duty cycle (uW), via IcPowerModel.
   double mean_tag_power_uw = 0.0;
   // --- resilience -----------------------------------------------------
-  std::uint64_t messages_offered = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t backoff_skips = 0;
-  std::uint64_t brownout_skips = 0;
-  std::uint64_t outage_skips = 0;
-  std::uint64_t link_down_polls = 0;
-  std::uint64_t failover_polls = 0;
-  std::uint64_t fallback_polls = 0;
   /// delivered / (delivered + dropped): messages still in flight when the
   /// run ends are censored, not counted against the link layer. 1.0 when
   /// nothing completed.
@@ -181,8 +212,12 @@ struct NetworkStats {
   std::uint64_t trace_dropped = 0;
 
   /// FNV-1a hash over every field except the trace (doubles by bit
-  /// pattern, vectors in index order). Two runs are bit-identical iff
-  /// their digests match.
+  /// pattern, vectors in index order), in a frozen order that pinned
+  /// digests depend on. Two runs are bit-identical iff their digests match.
+  /// The fleet-level rate_downshifts/rate_upshifts are the one exception:
+  /// they were added after the pins were recorded, and they are plain sums
+  /// of the per-tag shift counts, which the per-tag records (hashed when
+  /// keep_per_tag is on) already carry.
   std::uint64_t digest() const;
 };
 

@@ -15,6 +15,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/capture.h"
+#include "obs/fnv1a.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
@@ -386,12 +387,9 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
 }
 
 std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  obs::Fnv1a h;
+  h.bytes(bytes);
+  return h.value();
 }
 
 TEST(NetworkCaptureTest, CaptureDigestsPinned) {

@@ -7,11 +7,14 @@
 // produces must match the pre-grid values at 1, 2, and 8 threads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "dsp/rng.h"
+#include "fleet_configs.h"
 #include "sim/network.h"
 #include "sim/spatial_hash.h"
 #include "sim/topology.h"
@@ -218,6 +221,25 @@ TEST(NetworkScaleDigest, PinnedAcrossThreadCounts) {
   }
 }
 
+TEST(NetworkScaleDigest, StreamingPinned) {
+  // keep_per_tag=false is the path every fleet of 100k+ tags runs. Pin it
+  // to recorded values: the 100k-tag point of BENCH_net_scale.json, and the
+  // net_resilience intensity-1 fleet with ARQ, fallback and failover.
+  NetworkConfig scale = bench_config(100000);
+  scale.keep_per_tag = false;
+  NetworkConfig faulted = test::net_resilience_config(true);
+  faulted.keep_per_tag = false;
+  for (const std::size_t threads : {1u, 2u}) {
+    scale.num_threads = threads;
+    EXPECT_EQ(NetworkCoordinator(scale).run().digest(), 0xdd60aa7e1da5d560ULL)
+        << "100k tags, " << threads << " threads";
+    faulted.num_threads = threads;
+    EXPECT_EQ(NetworkCoordinator(faulted).run().digest(),
+              0x5dac8d58b6efe5f2ULL)
+        << "faulted ARQ fleet, " << threads << " threads";
+  }
+}
+
 TEST(NetworkScaleDigest, StreamingStatsAreThreadCountInvariant) {
   // keep_per_tag=false takes the streaming per-shard aggregation path; its
   // digest must be its own pure function of the config.
@@ -236,32 +258,55 @@ TEST(NetworkScaleDigest, StreamingStatsAreThreadCountInvariant) {
 TEST(NetworkScaleDigest, StreamingCountersMatchPerTagPath) {
   // The streaming fold must count exactly what the per-tag reduction
   // counts; only FP summation order may differ between the two paths.
-  NetworkConfig cfg = bench_config(1000);
-  const NetworkStats kept = NetworkCoordinator(cfg).run();
-  cfg.keep_per_tag = false;
-  const NetworkStats streamed = NetworkCoordinator(cfg).run();
+  // Besides the fault-free ward, three faulted fleets between them drive
+  // every poll counter above zero: the net_resilience ARQ fleet; the same
+  // fleet with backoff, a tight retry budget and quick rate probing (drops,
+  // backoff, upshifts); and a fleet whose budget is NaN, so every link is
+  // down.
+  NetworkConfig arq = test::net_resilience_config(true);
+  NetworkConfig strained = arq;
+  strained.arq.backoff_base_slots = 1;
+  strained.arq.max_attempts = 3;
+  strained.arq.retry_budget = 2;
+  strained.fallback.up_after_successes = 2;
+  NetworkConfig dead = arq;
+  dead.topology.num_tags = 300;
+  dead.faults = {};
+  dead.tag_medium_loss_db = std::numeric_limits<Real>::quiet_NaN();
 
-  EXPECT_EQ(streamed.queries_sent, kept.queries_sent);
-  EXPECT_EQ(streamed.replies_received, kept.replies_received);
-  EXPECT_EQ(streamed.downlink_misses, kept.downlink_misses);
-  EXPECT_EQ(streamed.reservation_denied, kept.reservation_denied);
-  EXPECT_EQ(streamed.collisions, kept.collisions);
-  EXPECT_EQ(streamed.decode_failures, kept.decode_failures);
-  EXPECT_EQ(streamed.messages_delivered, kept.messages_delivered);
-  EXPECT_EQ(streamed.messages_dropped, kept.messages_dropped);
-  ASSERT_EQ(streamed.channels.size(), kept.channels.size());
-  for (std::size_t g = 0; g < kept.channels.size(); ++g) {
-    EXPECT_EQ(streamed.channels[g].replies, kept.channels[g].replies);
-    EXPECT_EQ(streamed.channels[g].collisions, kept.channels[g].collisions);
+  std::array<bool, kPollCounters.size()> seen_nonzero{};
+  for (NetworkConfig cfg : {bench_config(1000), arq, strained, dead}) {
+    cfg.keep_per_tag = true;
+    const NetworkStats kept = NetworkCoordinator(cfg).run();
+    cfg.keep_per_tag = false;
+    const NetworkStats streamed = NetworkCoordinator(cfg).run();
+
+    PollCounters per_tag_sum;
+    for (const TagStats& t : kept.per_tag) per_tag_sum += t;
+    for (std::size_t c = 0; c < kPollCounters.size(); ++c) {
+      const auto field = kPollCounters[c].field;
+      EXPECT_EQ(streamed.*field, kept.*field) << "counter " << c;
+      EXPECT_EQ(kept.*field, per_tag_sum.*field) << "counter " << c;
+      seen_nonzero[c] = seen_nonzero[c] || kept.*field != 0;
+    }
+    ASSERT_EQ(streamed.channels.size(), kept.channels.size());
+    for (std::size_t g = 0; g < kept.channels.size(); ++g) {
+      EXPECT_EQ(streamed.channels[g].replies, kept.channels[g].replies);
+      EXPECT_EQ(streamed.channels[g].collisions, kept.channels[g].collisions);
+    }
+    EXPECT_NEAR(streamed.aggregate_goodput_kbps, kept.aggregate_goodput_kbps,
+                1e-9 * std::abs(kept.aggregate_goodput_kbps));
+    EXPECT_NEAR(streamed.mean_tag_goodput_kbps, kept.mean_tag_goodput_kbps,
+                1e-9 * std::abs(kept.mean_tag_goodput_kbps));
+    EXPECT_NEAR(streamed.mean_airtime_duty, kept.mean_airtime_duty,
+                1e-9 * std::abs(kept.mean_airtime_duty));
+    EXPECT_NEAR(streamed.mean_tag_power_uw, kept.mean_tag_power_uw,
+                1e-9 * std::abs(kept.mean_tag_power_uw));
   }
-  EXPECT_NEAR(streamed.aggregate_goodput_kbps, kept.aggregate_goodput_kbps,
-              1e-9 * std::abs(kept.aggregate_goodput_kbps));
-  EXPECT_NEAR(streamed.mean_tag_goodput_kbps, kept.mean_tag_goodput_kbps,
-              1e-9 * std::abs(kept.mean_tag_goodput_kbps));
-  EXPECT_NEAR(streamed.mean_airtime_duty, kept.mean_airtime_duty,
-              1e-9 * std::abs(kept.mean_airtime_duty));
-  EXPECT_NEAR(streamed.mean_tag_power_uw, kept.mean_tag_power_uw,
-              1e-9 * std::abs(kept.mean_tag_power_uw));
+  for (std::size_t c = 0; c < kPollCounters.size(); ++c) {
+    EXPECT_TRUE(seen_nonzero[c])
+        << "counter " << c << " stayed 0 on every fleet: the match is vacuous";
+  }
 }
 
 }  // namespace

@@ -50,6 +50,15 @@ TEST(LatencyHistogram, QuantilesAreMonotoneAndMergeIsExact) {
   EXPECT_GE(merged.quantile_us(0.5), 5000.0);
 }
 
+TEST(LatencyHistogram, QuantileZeroIsTheLowestSample) {
+  // q = 0 used to target rank 0 and report bin 0's edge even when bin 0
+  // held no sample.
+  LatencyHistogram h;
+  h.record(1000.0);
+  EXPECT_EQ(h.quantile_us(0.0), h.quantile_us(1.0));
+  EXPECT_GT(h.quantile_us(0.0), 1000.0);
+}
+
 // --- topology ----------------------------------------------------------------
 
 TEST(Topology, GridIsDeterministicAndInsideExtent) {
