@@ -8,7 +8,6 @@
 #include "ble/gfsk.h"
 #include "ble/single_tone.h"
 #include "channel/impairments.h"
-#include "core/arena.h"
 #include "core/monte_carlo.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
@@ -16,7 +15,6 @@
 #include "dsp/fir.h"
 #include "dsp/rng.h"
 #include "dsp/simd/dispatch.h"
-#include "phy/batch.h"
 #include "wifi/cck.h"
 #include "wifi/convolutional.h"
 #include "wifi/dsss_rx.h"
@@ -168,7 +166,7 @@ BENCHMARK(BM_PerVsSnrSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // SIMD A/B pairs: Arg(0) forces the scalar kernel table, Arg(1) runs the
-// detected dispatch level (AVX2/NEON when compiled in and present). Results
+// detected dispatch level (AVX2 when compiled in and present). Results
 // are bit-identical by the dispatch-invariance contract; only throughput may
 // differ. `set_simd_enabled` is restored after the timing loop so the pairs
 // compose with the rest of the suite in either order.
@@ -179,36 +177,6 @@ class DispatchScope {
   explicit DispatchScope(bool enable) { dsp::simd::set_simd_enabled(enable); }
   ~DispatchScope() { dsp::simd::set_simd_enabled(true); }
 };
-
-void BM_Fft1024Dispatch(benchmark::State& state) {
-  const DispatchScope scope(state.range(0) != 0);
-  dsp::Xoshiro256 rng(1);
-  dsp::CVec x(1024);
-  for (auto& v : x) v = rng.complex_gaussian(1.0);
-  const dsp::FftPlan& plan = dsp::fft_plan(1024);
-  for (auto _ : state) {
-    dsp::CVec y = x;
-    plan.forward(y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_Fft1024Dispatch)->Arg(0)->Arg(1);
-
-void BM_CorrelateDirect1kDispatch(benchmark::State& state) {
-  const DispatchScope scope(state.range(0) != 0);
-  dsp::Xoshiro256 rng(7);
-  dsp::CVec x(16384), p(1024);
-  for (auto& v : x) v = rng.complex_gaussian(1.0);
-  for (auto& v : p) v = rng.complex_gaussian(1.0);
-  for (auto _ : state) {
-    auto c = dsp::cross_correlate_direct(x, p);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.size()));
-}
-BENCHMARK(BM_CorrelateDirect1kDispatch)->Arg(0)->Arg(1);
 
 void BM_DsssRx2MbpsDispatch(benchmark::State& state) {
   const DispatchScope scope(state.range(0) != 0);
@@ -239,37 +207,6 @@ void BM_ImpairmentChainDispatch(benchmark::State& state) {
                           static_cast<int64_t>(x.size()));
 }
 BENCHMARK(BM_ImpairmentChainDispatch)->Arg(0)->Arg(1);
-
-// Batched front-end pipeline on the arena: 8 lanes x 1024 samples through
-// scale -> spectral mask -> IQ imbalance -> FFT -> IFFT -> quantize. The
-// per-iteration ArenaFrame rewinds the slab, so steady state allocates
-// nothing.
-void BM_BatchPipeline8x1024(benchmark::State& state) {
-  dsp::Xoshiro256 rng(21);
-  std::vector<dsp::CVec> lanes;
-  for (int i = 0; i < 8; ++i) {
-    dsp::CVec v(1024);
-    for (auto& s : v) s = rng.complex_gaussian(1.0);
-    lanes.push_back(std::move(v));
-  }
-  dsp::CVec spec(1024);
-  for (auto& s : spec) s = rng.complex_gaussian(1.0);
-  const dsp::FftPlan& plan = dsp::fft_plan(1024);
-  for (auto _ : state) {
-    const core::ArenaFrame frame;
-    phy::Batch b(8, 1024);
-    for (std::size_t i = 0; i < 8; ++i) b.load(i, lanes[i]);
-    b.scale(0.5);
-    b.pointwise_mul(spec);
-    b.iq_imbalance({0.98, 0.01}, {0.015, -0.01});
-    b.fft_forward(plan);
-    b.fft_inverse(plan);
-    b.quantize_midrise(2.0, 2.0 / 256.0);
-    benchmark::DoNotOptimize(b.flat().data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 8 * 1024);
-}
-BENCHMARK(BM_BatchPipeline8x1024);
 
 void BM_BleSingleTonePayload(benchmark::State& state) {
   for (auto _ : state) {

@@ -26,20 +26,30 @@ CVec cross_correlate_direct(std::span<const Complex> x,
       break;
     }
   }
-  const simd::KernelTable& kern = simd::active_kernels();
   if (real_pattern) {
     thread_local std::vector<Real> preal;
     preal.resize(pattern.size());
     for (std::size_t k = 0; k < pattern.size(); ++k) preal[k] = pattern[k].real();
-    kern.correlate_real(x.data(), x.size(), preal.data(), pattern.size(),
-                        out.data());
+    simd::active_kernels().correlate_real(x.data(), x.size(), preal.data(),
+                                          pattern.size(), out.data());
     return out;
   }
   // x * conj(p) with explicit real arithmetic (finite operands, so the
-  // std::complex inf/NaN multiply fixup is dead weight); vectorized across
-  // output lags with per-lag accumulation order unchanged.
-  kern.correlate_conj(x.data(), x.size(), pattern.data(), pattern.size(),
-                      out.data());
+  // std::complex inf/NaN multiply fixup is dead weight).
+  const std::size_t np = pattern.size();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    Real ar = 0.0;
+    Real ai = 0.0;
+    for (std::size_t k = 0; k < np; ++k) {
+      const Real xr = x[i + k].real();
+      const Real xi = x[i + k].imag();
+      const Real pr = pattern[k].real();
+      const Real pi = pattern[k].imag();
+      ar += xr * pr + xi * pi;
+      ai += xi * pr - xr * pi;
+    }
+    out[i] = Complex(ar, ai);
+  }
   return out;
 }
 

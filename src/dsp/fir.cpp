@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/ola.h"
-#include "dsp/simd/kernels.h"
 #include "dsp/window.h"
 
 namespace itb::dsp {
@@ -102,14 +101,7 @@ bool convolve_prefers_fft(std::size_t signal_len, std::size_t kernel_len) {
 }
 
 CVec convolve_direct(std::span<const Complex> x, std::span<const Real> taps) {
-  if (x.empty() || taps.empty()) return {};
-  // Scatter form y[i + k] += x[i] * taps[k] through the dispatch-invariant
-  // kernel table; per-output contribution order (i ascending) is identical
-  // to the scalar loop in convolve_direct_impl.
-  CVec y(x.size() + taps.size() - 1, Complex{});
-  simd::active_kernels().fir_scatter_real(x.data(), x.size(), taps.data(),
-                                          taps.size(), y.data());
-  return y;
+  return convolve_direct_impl(x, taps);
 }
 
 RVec convolve_direct(std::span<const Real> x, std::span<const Real> taps) {

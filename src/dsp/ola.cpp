@@ -4,7 +4,6 @@
 
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
-#include "dsp/simd/kernels.h"
 #include "obs/prof.h"
 
 namespace itb::dsp {
@@ -49,8 +48,15 @@ CVec overlap_save_convolve(std::span<const Complex> x, std::span<const Complex> 
                    : Complex{0.0, 0.0};
     }
     plan.forward(buf);
-    simd::active_kernels().cmul_pointwise(buf.data(), kernel_spectrum.data(),
-                                          block);
+    // Spectral multiply with explicit real arithmetic (finite operands, so
+    // the std::complex inf/NaN multiply fixup is dead weight).
+    for (std::size_t i = 0; i < block; ++i) {
+      const Real ar = buf[i].real();
+      const Real ai = buf[i].imag();
+      const Real br = kernel_spectrum[i].real();
+      const Real bi = kernel_spectrum[i].imag();
+      buf[i] = Complex(ar * br - ai * bi, ar * bi + ai * br);
+    }
     plan.inverse(buf);
     const std::size_t take = std::min(step, ny - out_start);
     for (std::size_t t = 0; t < take; ++t) y[out_start + t] = buf[nh - 1 + t];

@@ -17,17 +17,12 @@ bool env_disables_simd() {
 
 Level compute_detected() {
   if (env_disables_simd()) return Level::kScalar;
-  const Level compiled = compiled_level();
 #if defined(__x86_64__) || defined(_M_X64)
-  if (compiled == Level::kAvx2 && __builtin_cpu_supports("avx2")) {
+  if (compiled_level() == Level::kAvx2 && __builtin_cpu_supports("avx2")) {
     return Level::kAvx2;
   }
-  return Level::kScalar;
-#else
-  // On aarch64 the NEON TU is only compiled when the baseline ISA has
-  // Advanced SIMD, so no further runtime probing is needed.
-  return compiled;
 #endif
+  return Level::kScalar;
 }
 
 std::atomic<bool>& enabled_flag() {
@@ -38,11 +33,7 @@ std::atomic<bool>& enabled_flag() {
 }  // namespace
 
 Level compiled_level() {
-#if defined(__x86_64__) || defined(_M_X64)
   return avx2_kernels() != nullptr ? Level::kAvx2 : Level::kScalar;
-#else
-  return neon_kernels() != nullptr ? Level::kNeon : Level::kScalar;
-#endif
 }
 
 Level detected_level() {
@@ -59,14 +50,10 @@ void set_simd_enabled(bool enabled) {
   enabled_flag().store(enabled, std::memory_order_relaxed);
 }
 
-bool simd_active() { return active_level() != Level::kScalar; }
-
 const char* level_name(Level level) {
   switch (level) {
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
     case Level::kScalar:
     default:
       return "scalar";

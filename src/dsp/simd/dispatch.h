@@ -1,13 +1,13 @@
-// Runtime SIMD dispatch for the batched PHY kernels (see kernels.h).
+// Runtime SIMD dispatch for the PHY kernels (see kernels.h).
 //
-// Exactly one kernel table is active at a time: the scalar reference, or a
-// vector implementation (AVX2 on x86-64, NEON on aarch64) compiled into its
-// own translation unit with the matching -m flags. Selection happens once at
-// startup from (a) what this binary was compiled with, (b) what the CPU
-// reports at runtime, and (c) the ITB_DISABLE_SIMD environment variable;
+// Exactly one kernel table is active at a time: the scalar reference, or the
+// AVX2 implementation (x86-64 only) compiled into its own translation unit
+// with -mavx2; every other target runs the scalar table. Selection happens
+// once at startup from (a) what this binary was compiled with, (b) what the
+// CPU reports at runtime, and (c) the ITB_DISABLE_SIMD environment variable;
 // tests can additionally flip dispatch at runtime with set_simd_enabled().
 //
-// The determinism contract (DESIGN.md "Batched PHY engine and dispatch
+// The determinism contract (DESIGN.md "PHY kernel table and dispatch
 // determinism") requires every kernel to produce bit-identical results under
 // any dispatch level, so which table is active is a pure performance choice
 // and never leaks into results, digests, or traces.
@@ -18,11 +18,10 @@ namespace itb::dsp::simd {
 enum class Level {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
 };
 
-/// Best vector level compiled into this binary (kScalar when the build had
-/// no vector TU, e.g. -DITB_ENABLE_SIMD=OFF or an unsupported compiler).
+/// Best vector level compiled into this binary (kScalar when the AVX2 TU
+/// was built without AVX2: a non-x86 target or a compiler without -mavx2).
 Level compiled_level();
 
 /// Level actually usable on this machine: compiled_level() gated by runtime
@@ -40,10 +39,7 @@ Level active_level();
 /// not intended to be flipped concurrently with in-flight kernels.
 void set_simd_enabled(bool enabled);
 
-/// True when active_level() != kScalar.
-bool simd_active();
-
-/// Human-readable name for diagnostics ("scalar", "avx2", "neon").
+/// Human-readable name for diagnostics ("scalar", "avx2").
 const char* level_name(Level level);
 
 }  // namespace itb::dsp::simd

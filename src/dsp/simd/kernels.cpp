@@ -5,21 +5,8 @@
 namespace itb::dsp::simd {
 
 const KernelTable& active_kernels() {
-  switch (active_level()) {
-    case Level::kAvx2: {
-      const KernelTable* t = avx2_kernels();
-      if (t != nullptr) return *t;
-      break;
-    }
-    case Level::kNeon: {
-      const KernelTable* t = neon_kernels();
-      if (t != nullptr) return *t;
-      break;
-    }
-    case Level::kScalar:
-      break;
-  }
-  return *scalar_kernels();
+  // active_level() is kAvx2 only when the AVX2 table was compiled in.
+  return active_level() == Level::kAvx2 ? *avx2_kernels() : *scalar_kernels();
 }
 
 }  // namespace itb::dsp::simd

@@ -1,26 +1,23 @@
-// Batched PHY kernels with dispatch-invariant numerics.
+// Runtime-dispatched PHY kernels with dispatch-invariant numerics.
 //
 // Every kernel is defined by a *numeric specification*: a fixed sequence of
 // IEEE-754 double operations per output element. The scalar reference
 // (kernels_scalar.cpp) implements the specification with plain loops; the
-// AVX2/NEON tables implement the same specification with vector instructions
+// AVX2 table implements the same specification with vector instructions
 // whose per-element semantics are identical. Concretely:
 //
-//  * No FMA and no reassociation: the vector TUs are compiled with the bare
-//    ISA flag (-mavx2, never -mfma) and use explicit mul/add intrinsics, so
+//  * No FMA and no reassociation: the AVX2 TU is compiled with the bare
+//    ISA flag (-mavx2, never -mfma) and uses explicit mul/add intrinsics, so
 //    every multiply and add rounds exactly like its scalar counterpart.
-//  * Sliding/pointwise kernels vectorize ACROSS outputs: each output's
-//    accumulation still walks k = 0,1,2,... sequentially in one accumulator,
-//    exactly like the scalar loop, so results are bit-identical.
-//  * Single-dot reductions (dot_conj) use the lane-stable contract: four
-//    fixed accumulator lanes, lane j summing elements j, j+4, j+8, ...,
-//    reduced as (l0 + l2) + (l1 + l3). The scalar reference implements this
-//    exact shape, so the reduction order never depends on dispatch.
+//  * Vectorize ACROSS outputs: each output's accumulation still walks
+//    k = 0,1,2,... sequentially in one accumulator, exactly like the scalar
+//    loop, so results are bit-identical.
 //
-// Adding a kernel: write the spec here, implement it in kernels_scalar.cpp
-// (the spec IS the scalar code), add the vector versions, add it to the
-// parity fuzz suite (tests/simd_parity_test.cpp). Raw intrinsics are only
-// permitted under src/dsp/simd/ (enforced by detlint's simd-intrinsics rule).
+// The table holds only kernels that a benchmark workload calls. Adding a
+// kernel: write the spec here, implement it in kernels_scalar.cpp (the spec
+// IS the scalar code), add the AVX2 version, add it to the parity fuzz
+// suite (tests/simd_parity_test.cpp). Raw intrinsics are only permitted
+// under src/dsp/simd/ (enforced by detlint's simd-intrinsics rule).
 #pragma once
 
 #include <cstddef>
@@ -30,28 +27,10 @@
 namespace itb::dsp::simd {
 
 struct KernelTable {
-  // a[i] = a[i] * b[i] (complex multiply, spec: re = ar*br - ai*bi,
-  // im = ar*bi + ai*br), i ascending.
-  void (*cmul_pointwise)(Complex* a, const Complex* b, std::size_t n);
-
-  // x[i] *= s for 2n doubles (re and im scaled independently).
-  void (*scale_real)(Complex* x, Real s, std::size_t n);
-
-  // Lane-stable reduction: sum_i x[i] * conj(p[i]) with four accumulator
-  // lanes (lane j takes i % 4 == j; per element re += xr*pr + xi*pi,
-  // im += xi*pr - xr*pi), reduced as (l0 + l2) + (l1 + l3).
-  Complex (*dot_conj)(const Complex* x, const Complex* p, std::size_t n);
-
   // Sliding correlation against a real pattern: for each lag i in
   // [0, nx - np], out[i] = sum_{k=0}^{np-1} x[i+k] * p[k], k ascending,
   // single accumulator per output (re += xr*pk, im += xi*pk).
   void (*correlate_real)(const Complex* x, std::size_t nx, const Real* p,
-                         std::size_t np, Complex* out);
-
-  // Sliding correlation against a complex pattern, conjugated: for each lag
-  // i, out[i] = sum_k x[i+k] * conj(p[k]), k ascending; per element
-  // re += xr*pr + xi*pi, im += xi*pr - xr*pi.
-  void (*correlate_conj)(const Complex* x, std::size_t nx, const Complex* p,
                          std::size_t np, Complex* out);
 
   // Block despread: out[s] = (sum_{k=0}^{np-1} chips[s*np + k] * p[k]) / divisor
@@ -65,12 +44,6 @@ struct KernelTable {
   // std::complex s * conj(p) exactly).
   void (*accum_scaled_conj)(Complex* acc, const Complex* p, Complex s,
                             std::size_t n);
-
-  // Scatter-form convolution with real taps: y[i + k] += x[i] * taps[k],
-  // i outer ascending, k inner ascending. Caller provides y zero-initialised
-  // with size nx + nt - 1.
-  void (*fir_scatter_real)(const Complex* x, std::size_t nx, const Real* taps,
-                           std::size_t nt, Complex* y);
 
   // Causal complex FIR with ramp-in: y[i] = sum_{k=0}^{min(nt-1, i)}
   // taps[k] * x[i - k], k ascending; per element re += tr*xr - ti*xi,
@@ -88,31 +61,13 @@ struct KernelTable {
   // caller's problem (the impairment chain never produces them here).
   void (*quantize_midrise)(Complex* x, Real full_scale, Real step,
                            std::size_t n);
-
-  // FFT butterfly stages over bit-reversed data (layout of FftPlan::run).
-  // stage2: for i = 0, 2, ...: u = a[i], v = a[i+1]; a[i] = u + v,
-  // a[i+1] = u - v.
-  void (*fft_stage2)(Complex* a, std::size_t n);
-
-  // stage4: for i = 0, 4, ...: v0 = a[i+2]; t = a[i+3] rotated by -j
-  // (forward: (t.im, -t.re)) or +j (inverse: (-t.im, t.re));
-  // a[i] = a[i] + v0, a[i+2] = a[i] - v0, a[i+1] += t', a[i+3] = a[i+1] - t'.
-  void (*fft_stage4)(Complex* a, std::size_t n, bool inverse);
-
-  // One radix-2 stage for len >= 8: for k in [0, half):
-  // w = tw[k] (conjugated when inverse); h = hi[k];
-  // v = (h.re*w.re - h.im*w.im, h.re*w.im + h.im*w.re);
-  // hi[k] = lo[k] - v; lo[k] = lo[k] + v. half is a multiple of 4.
-  void (*fft_radix2_stage)(Complex* lo, Complex* hi, const Complex* tw,
-                           std::size_t half, bool inverse);
 };
 
 /// The scalar reference table (always available; the specification).
 const KernelTable* scalar_kernels();
 
-/// Vector tables; nullptr when the corresponding TU was not compiled in.
+/// The AVX2 table; nullptr when its TU was compiled without AVX2.
 const KernelTable* avx2_kernels();
-const KernelTable* neon_kernels();
 
 /// Table for the current dispatch level (see dispatch.h).
 const KernelTable& active_kernels();

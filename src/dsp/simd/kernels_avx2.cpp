@@ -9,20 +9,16 @@
 //    multiply-accumulate step with the same two products and one add/sub per
 //    element as the scalar spec (IEEE a - b === a + (-b), and sign flips via
 //    XOR are exact, so the bit patterns match).
-//  * hadd(t1, t2) = [t1_0+t1_1, t2_0+t2_1, ...] pairs products within each
-//    128-bit lane, again preserving the scalar operand order.
-// Vectorization is ACROSS outputs for sliding kernels (each output keeps one
-// sequential accumulator) and across the four fixed lanes for dot_conj.
+// Vectorization is ACROSS outputs (each output keeps one sequential
+// accumulator).
 #include "dsp/simd/kernels.h"
 
-#if defined(__AVX2__) && !defined(ITB_SIMD_BUILD_OFF)
+#if defined(__AVX2__)
 
 #include <immintrin.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <vector>
 
 namespace itb::dsp::simd {
 namespace {
@@ -34,94 +30,16 @@ inline const double* dptr(const Complex* p) {
 }
 inline double* dptr(Complex* p) { return reinterpret_cast<double*>(p); }
 
-// Sign masks: negate imaginary (odd) lanes / single lanes. XOR of the sign
-// bit is an exact IEEE negation.
+// Sign mask: negate imaginary (odd) lanes. XOR of the sign bit is an exact
+// IEEE negation.
 inline __m256d neg_odd_mask() {
   return _mm256_castsi256_pd(_mm256_set_epi64x(
       static_cast<long long>(0x8000000000000000ULL), 0,
       static_cast<long long>(0x8000000000000000ULL), 0));
 }
-inline __m256d neg_lane2_mask() {
-  return _mm256_castsi256_pd(_mm256_set_epi64x(
-      0, static_cast<long long>(0x8000000000000000ULL), 0, 0));
-}
-inline __m256d neg_lane3_mask() {
-  return _mm256_castsi256_pd(_mm256_set_epi64x(
-      static_cast<long long>(0x8000000000000000ULL), 0, 0, 0));
-}
 
 // [xr, xi] per complex -> [xi, xr].
 inline __m256d swap_pairs(__m256d v) { return _mm256_permute_pd(v, 0x5); }
-
-void cmul_pointwise(Complex* a, const Complex* b, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d va = _mm256_loadu_pd(dptr(a + i));
-    const __m256d vb = _mm256_loadu_pd(dptr(b + i));
-    const __m256d ar = _mm256_movedup_pd(va);
-    const __m256d ai = _mm256_permute_pd(va, 0xF);
-    const __m256d res = _mm256_addsub_pd(_mm256_mul_pd(ar, vb),
-                                         _mm256_mul_pd(ai, swap_pairs(vb)));
-    _mm256_storeu_pd(dptr(a + i), res);
-  }
-  for (; i < n; ++i) {
-    const Real ar = a[i].real();
-    const Real ai = a[i].imag();
-    const Real br = b[i].real();
-    const Real bi = b[i].imag();
-    a[i] = Complex(ar * br - ai * bi, ar * bi + ai * br);
-  }
-}
-
-void scale_real(Complex* x, Real s, size_t n) {
-  double* d = dptr(x);
-  const size_t nd = 2 * n;
-  const __m256d vs = _mm256_set1_pd(s);
-  size_t i = 0;
-  for (; i + 4 <= nd; i += 4) {
-    _mm256_storeu_pd(d + i, _mm256_mul_pd(_mm256_loadu_pd(d + i), vs));
-  }
-  for (; i < nd; ++i) d[i] *= s;
-}
-
-Complex dot_conj(const Complex* x, const Complex* p, size_t n) {
-  // accA holds lanes 0,1; accB holds lanes 2,3 (one complex per 128 bits).
-  __m256d acc_a = _mm256_setzero_pd();
-  __m256d acc_b = _mm256_setzero_pd();
-  const __m256d mask = neg_odd_mask();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x0 = _mm256_loadu_pd(dptr(x + i));
-    const __m256d p0 = _mm256_loadu_pd(dptr(p + i));
-    const __m256d x1 = _mm256_loadu_pd(dptr(x + i + 2));
-    const __m256d p1 = _mm256_loadu_pd(dptr(p + i + 2));
-    // hadd([xr*pr, xi*pi], [xi*pr, -(xr*pi)]) = [re_inc, im_inc] per lane.
-    const __m256d inc_a = _mm256_hadd_pd(
-        _mm256_mul_pd(x0, p0),
-        _mm256_mul_pd(swap_pairs(x0), _mm256_xor_pd(p0, mask)));
-    const __m256d inc_b = _mm256_hadd_pd(
-        _mm256_mul_pd(x1, p1),
-        _mm256_mul_pd(swap_pairs(x1), _mm256_xor_pd(p1, mask)));
-    acc_a = _mm256_add_pd(acc_a, inc_a);
-    acc_b = _mm256_add_pd(acc_b, inc_b);
-  }
-  alignas(32) double lanes[8];
-  _mm256_store_pd(lanes, acc_a);
-  _mm256_store_pd(lanes + 4, acc_b);
-  // lanes[] = [l0r, l0i, l1r, l1i, l2r, l2i, l3r, l3i]; finish the tail in
-  // the same fixed lanes, then reduce exactly as (l0 + l2) + (l1 + l3).
-  for (; i < n; ++i) {
-    const size_t lane = i % 4;
-    const Real xr = x[i].real();
-    const Real xi = x[i].imag();
-    const Real pr = p[i].real();
-    const Real pi = p[i].imag();
-    lanes[2 * lane] += xr * pr + xi * pi;
-    lanes[2 * lane + 1] += xi * pr - xr * pi;
-  }
-  return Complex((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]),
-                 (lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-}
 
 void correlate_real(const Complex* x, size_t nx, const Real* p, size_t np,
                     Complex* out) {
@@ -147,45 +65,6 @@ void correlate_real(const Complex* x, size_t nx, const Real* p, size_t np,
       const Real pk = p[k];
       ar += x[i + k].real() * pk;
       ai += x[i + k].imag() * pk;
-    }
-    out[i] = Complex(ar, ai);
-  }
-}
-
-void correlate_conj(const Complex* x, size_t nx, const Complex* p, size_t np,
-                    Complex* out) {
-  const size_t n_out = nx - np + 1;
-  size_t i = 0;
-  for (; i + 4 <= n_out; i += 4) {
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    for (size_t k = 0; k < np; ++k) {
-      const __m256d pr = _mm256_set1_pd(p[k].real());
-      const __m256d npi = _mm256_set1_pd(-p[k].imag());
-      const __m256d x0 = _mm256_loadu_pd(dptr(x + i + k));
-      const __m256d x1 = _mm256_loadu_pd(dptr(x + i + k + 2));
-      // addsub([xr*pr, xi*pr], [xi*(-pi), xr*(-pi)])
-      //   = [xr*pr + xi*pi, xi*pr - xr*pi] per complex.
-      acc0 = _mm256_add_pd(
-          acc0, _mm256_addsub_pd(_mm256_mul_pd(x0, pr),
-                                 _mm256_mul_pd(swap_pairs(x0), npi)));
-      acc1 = _mm256_add_pd(
-          acc1, _mm256_addsub_pd(_mm256_mul_pd(x1, pr),
-                                 _mm256_mul_pd(swap_pairs(x1), npi)));
-    }
-    _mm256_storeu_pd(dptr(out + i), acc0);
-    _mm256_storeu_pd(dptr(out + i + 2), acc1);
-  }
-  for (; i < n_out; ++i) {
-    Real ar = 0.0;
-    Real ai = 0.0;
-    for (size_t k = 0; k < np; ++k) {
-      const Real xr = x[i + k].real();
-      const Real xi = x[i + k].imag();
-      const Real pr = p[k].real();
-      const Real pi = p[k].imag();
-      ar += xr * pr + xi * pi;
-      ai += xi * pr - xr * pi;
     }
     out[i] = Complex(ar, ai);
   }
@@ -239,35 +118,6 @@ void accum_scaled_conj(Complex* acc, const Complex* p, Complex s, size_t n) {
     const Real npi = -p[j].imag();
     acc[j] = Complex(acc[j].real() + (sr_s * pr - si_s * npi),
                      acc[j].imag() + (sr_s * npi + si_s * pr));
-  }
-}
-
-void fir_scatter_real(const Complex* x, size_t nx, const Real* taps, size_t nt,
-                      Complex* y) {
-  // Expand taps to [t0, t0, t1, t1, ...] once so a vector step updates two
-  // consecutive outputs (re and im of each) with per-output order unchanged.
-  thread_local std::vector<double> dup;
-  dup.resize(2 * nt);
-  for (size_t k = 0; k < nt; ++k) {
-    dup[2 * k] = taps[k];
-    dup[2 * k + 1] = taps[k];
-  }
-  double* yd = dptr(y);
-  for (size_t i = 0; i < nx; ++i) {
-    const __m256d xv = _mm256_broadcast_pd(
-        reinterpret_cast<const __m128d*>(dptr(x + i)));
-    double* yi = yd + 2 * i;
-    size_t k = 0;
-    for (; k + 2 <= nt; k += 2) {
-      const __m256d prod = _mm256_mul_pd(xv, _mm256_loadu_pd(dup.data() + 2 * k));
-      _mm256_storeu_pd(yi + 2 * k,
-                       _mm256_add_pd(_mm256_loadu_pd(yi + 2 * k), prod));
-    }
-    for (; k < nt; ++k) {
-      const Real tk = taps[k];
-      yi[2 * k] += x[i].real() * tk;
-      yi[2 * k + 1] += x[i].imag() * tk;
-    }
   }
 }
 
@@ -371,58 +221,12 @@ void quantize_midrise(Complex* x, Real full_scale, Real step, size_t n) {
   }
 }
 
-void fft_stage2(Complex* a, size_t n) {
-  for (size_t i = 0; i + 2 <= n; i += 2) {
-    const __m256d uv = _mm256_loadu_pd(dptr(a + i));
-    const __m256d vu = _mm256_permute2f128_pd(uv, uv, 0x01);
-    const __m256d plus = _mm256_add_pd(uv, vu);    // low 128 = u + v
-    const __m256d minus = _mm256_sub_pd(uv, vu);   // low 128 = u - v
-    _mm256_storeu_pd(dptr(a + i), _mm256_permute2f128_pd(plus, minus, 0x20));
-  }
-}
-
-void fft_stage4(Complex* a, size_t n, bool inverse) {
-  const __m256d mask = inverse ? neg_lane2_mask() : neg_lane3_mask();
-  for (size_t i = 0; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(dptr(a + i));      // [u0, u1]
-    const __m256d y = _mm256_loadu_pd(dptr(a + i + 2));  // [v0, t]
-    // Rotate t by -j (forward: [ti, -tr]) / +j (inverse: [-ti, tr]) while
-    // keeping v0 untouched in the low 128 bits.
-    const __m256d rot = _mm256_xor_pd(_mm256_permute_pd(y, 0x5), mask);
-    const __m256d yp = _mm256_blend_pd(y, rot, 0xC);
-    _mm256_storeu_pd(dptr(a + i), _mm256_add_pd(x, yp));
-    _mm256_storeu_pd(dptr(a + i + 2), _mm256_sub_pd(x, yp));
-  }
-}
-
-void fft_radix2_stage(Complex* lo, Complex* hi, const Complex* tw, size_t half,
-                      bool inverse) {
-  const __m256d conj_mask = neg_odd_mask();
-  for (size_t k = 0; k + 2 <= half; k += 2) {
-    __m256d w = _mm256_loadu_pd(dptr(tw + k));
-    if (inverse) w = _mm256_xor_pd(w, conj_mask);
-    const __m256d wr = _mm256_movedup_pd(w);
-    const __m256d wi = _mm256_permute_pd(w, 0xF);
-    const __m256d h = _mm256_loadu_pd(dptr(hi + k));
-    // addsub([hr*wr, hi*wr], [hi*wi, hr*wi])
-    //   = [hr*wr - hi*wi, hi*wr + hr*wi] per complex.
-    const __m256d v = _mm256_addsub_pd(_mm256_mul_pd(h, wr),
-                                       _mm256_mul_pd(swap_pairs(h), wi));
-    const __m256d l = _mm256_loadu_pd(dptr(lo + k));
-    _mm256_storeu_pd(dptr(hi + k), _mm256_sub_pd(l, v));
-    _mm256_storeu_pd(dptr(lo + k), _mm256_add_pd(l, v));
-  }
-}
-
 }  // namespace
 
 const KernelTable* avx2_kernels() {
   static const KernelTable table = {
-      cmul_pointwise, scale_real,        dot_conj,
-      correlate_real, correlate_conj,    despread_real,
-      accum_scaled_conj, fir_scatter_real, fir_causal_complex,
-      iq_imbalance,   quantize_midrise,  fft_stage2,
-      fft_stage4,     fft_radix2_stage,
+      correlate_real,     despread_real, accum_scaled_conj,
+      fir_causal_complex, iq_imbalance,  quantize_midrise,
   };
   return &table;
 }

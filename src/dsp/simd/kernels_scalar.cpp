@@ -12,38 +12,6 @@
 namespace itb::dsp::simd {
 namespace ref {
 
-void cmul_pointwise(Complex* a, const Complex* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const Real ar = a[i].real();
-    const Real ai = a[i].imag();
-    const Real br = b[i].real();
-    const Real bi = b[i].imag();
-    a[i] = Complex(ar * br - ai * bi, ar * bi + ai * br);
-  }
-}
-
-void scale_real(Complex* x, Real s, std::size_t n) {
-  Real* d = reinterpret_cast<Real*>(x);
-  for (std::size_t i = 0; i < 2 * n; ++i) d[i] *= s;
-}
-
-Complex dot_conj(const Complex* x, const Complex* p, std::size_t n) {
-  // Lane-stable contract: lane j accumulates elements j, j+4, j+8, ...
-  Real lr[4] = {0.0, 0.0, 0.0, 0.0};
-  Real li[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lane = i % 4;
-    const Real xr = x[i].real();
-    const Real xi = x[i].imag();
-    const Real pr = p[i].real();
-    const Real pi = p[i].imag();
-    lr[lane] += xr * pr + xi * pi;
-    li[lane] += xi * pr - xr * pi;
-  }
-  return Complex((lr[0] + lr[2]) + (lr[1] + lr[3]),
-                 (li[0] + li[2]) + (li[1] + li[3]));
-}
-
 void correlate_real(const Complex* x, std::size_t nx, const Real* p,
                     std::size_t np, Complex* out) {
   const std::size_t n_out = nx - np + 1;
@@ -54,24 +22,6 @@ void correlate_real(const Complex* x, std::size_t nx, const Real* p,
       const Real pk = p[k];
       ar += x[i + k].real() * pk;
       ai += x[i + k].imag() * pk;
-    }
-    out[i] = Complex(ar, ai);
-  }
-}
-
-void correlate_conj(const Complex* x, std::size_t nx, const Complex* p,
-                    std::size_t np, Complex* out) {
-  const std::size_t n_out = nx - np + 1;
-  for (std::size_t i = 0; i < n_out; ++i) {
-    Real ar = 0.0;
-    Real ai = 0.0;
-    for (std::size_t k = 0; k < np; ++k) {
-      const Real xr = x[i + k].real();
-      const Real xi = x[i + k].imag();
-      const Real pr = p[k].real();
-      const Real pi = p[k].imag();
-      ar += xr * pr + xi * pi;
-      ai += xi * pr - xr * pi;
     }
     out[i] = Complex(ar, ai);
   }
@@ -103,20 +53,6 @@ void accum_scaled_conj(Complex* acc, const Complex* p, Complex s,
     // re = sr*pr - si*npi, im = sr*npi + si*pr.
     acc[j] = Complex(acc[j].real() + (sr * pr - si * npi),
                      acc[j].imag() + (sr * npi + si * pr));
-  }
-}
-
-void fir_scatter_real(const Complex* x, std::size_t nx, const Real* taps,
-                      std::size_t nt, Complex* y) {
-  Real* yd = reinterpret_cast<Real*>(y);
-  for (std::size_t i = 0; i < nx; ++i) {
-    const Real xr = x[i].real();
-    const Real xi = x[i].imag();
-    for (std::size_t k = 0; k < nt; ++k) {
-      const Real tk = taps[k];
-      yd[2 * (i + k)] += xr * tk;
-      yd[2 * (i + k) + 1] += xi * tk;
-    }
   }
 }
 
@@ -167,54 +103,12 @@ void quantize_midrise(Complex* x, Real full_scale, Real step, std::size_t n) {
   }
 }
 
-void fft_stage2(Complex* a, std::size_t n) {
-  for (std::size_t i = 0; i < n; i += 2) {
-    const Complex u = a[i];
-    const Complex v = a[i + 1];
-    a[i] = u + v;
-    a[i + 1] = u - v;
-  }
-}
-
-void fft_stage4(Complex* a, std::size_t n, bool inverse) {
-  for (std::size_t i = 0; i < n; i += 4) {
-    const Complex u0 = a[i];
-    const Complex u1 = a[i + 1];
-    const Complex v0 = a[i + 2];
-    const Complex t = a[i + 3];
-    const Complex v1 = inverse ? Complex(-t.imag(), t.real())
-                               : Complex(t.imag(), -t.real());
-    a[i] = u0 + v0;
-    a[i + 2] = u0 - v0;
-    a[i + 1] = u1 + v1;
-    a[i + 3] = u1 - v1;
-  }
-}
-
-void fft_radix2_stage(Complex* lo, Complex* hi, const Complex* tw,
-                      std::size_t half, bool inverse) {
-  for (std::size_t k = 0; k < half; ++k) {
-    const Real wr = tw[k].real();
-    const Real wi = inverse ? -tw[k].imag() : tw[k].imag();
-    const Real hr = hi[k].real();
-    const Real hi_im = hi[k].imag();
-    const Real vr = hr * wr - hi_im * wi;
-    const Real vi = hr * wi + hi_im * wr;
-    const Complex l = lo[k];
-    hi[k] = Complex(l.real() - vr, l.imag() - vi);
-    lo[k] = Complex(l.real() + vr, l.imag() + vi);
-  }
-}
-
 }  // namespace ref
 
 const KernelTable* scalar_kernels() {
   static const KernelTable table = {
-      ref::cmul_pointwise, ref::scale_real,        ref::dot_conj,
-      ref::correlate_real, ref::correlate_conj,    ref::despread_real,
-      ref::accum_scaled_conj, ref::fir_scatter_real, ref::fir_causal_complex,
-      ref::iq_imbalance,   ref::quantize_midrise,  ref::fft_stage2,
-      ref::fft_stage4,     ref::fft_radix2_stage,
+      ref::correlate_real,     ref::despread_real, ref::accum_scaled_conj,
+      ref::fir_causal_complex, ref::iq_imbalance,  ref::quantize_midrise,
   };
   return &table;
 }

@@ -123,6 +123,21 @@ TEST(FftPlan, InverseRoundTripsThroughPlan) {
   }
 }
 
+TEST(FftPlan, OnePointTransformIsIdentity) {
+  // A one-point plan has no butterfly stage; it must leave x (and the
+  // memory after it) untouched in both directions.
+  CVec x = {Complex{0.5, -1.25}};
+  const FftPlan& plan = fft_plan(1);
+  plan.forward(x);
+  EXPECT_EQ(x[0], (Complex{0.5, -1.25}));
+  plan.inverse(x);
+  EXPECT_EQ(x[0], (Complex{0.5, -1.25}));
+  // One-sample signal and kernel: overlap-save picks a one-point block.
+  const CVec y = overlap_save_convolve(x, CVec{Complex{2.0, 0.0}});
+  ASSERT_EQ(y.size(), 1u);
+  EXPECT_EQ(y[0], (Complex{1.0, -2.5}));
+}
+
 TEST(FftPlan, RejectsNonPowerOfTwo) {
   EXPECT_THROW(FftPlan(0), std::invalid_argument);
   EXPECT_THROW(FftPlan(3), std::invalid_argument);
