@@ -21,7 +21,8 @@ struct RunCapture {
   bool collect_trace = true;
 
   /// Per-shard trace ring capacity (oldest-drop beyond this; drops are
-  /// counted in `trace.dropped()` and surfaced as `itb.trace.dropped`).
+  /// counted in `trace.dropped()` and surfaced as
+  /// `itb.trace.events_dropped`).
   std::size_t trace_events_per_shard = 1 << 16;
 
   /// Outputs, filled by run(): trace is finalized (merged + sorted), the

@@ -39,32 +39,6 @@ void TraceLog::set_thread_name(std::uint32_t pid, std::uint32_t tid,
   tracks_.push_back({pid, tid, false, std::move(name)});
 }
 
-void TraceLog::span(const char* name, const char* cat, std::uint32_t pid,
-                    std::uint32_t tid, std::int64_t ts_us,
-                    std::int64_t dur_us) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = TracePhase::kSpan;
-  e.pid = pid;
-  e.tid = tid;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  events_.push_back(e);
-}
-
-void TraceLog::instant(const char* name, const char* cat, std::uint32_t pid,
-                       std::uint32_t tid, std::int64_t ts_us) {
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.phase = TracePhase::kInstant;
-  e.pid = pid;
-  e.tid = tid;
-  e.ts_us = ts_us;
-  events_.push_back(e);
-}
-
 void TraceLog::absorb(const TraceBuffer& shard) {
   const std::vector<TraceEvent> events = shard.drain();
   events_.insert(events_.end(), events.begin(), events.end());
@@ -109,18 +83,21 @@ void TraceLog::write_perfetto_json(std::ostream& os) const {
     } else {
       os << ", \"s\": \"t\"";  // instant scoped to its thread track
     }
-    if (e.arg_name != nullptr || e.sarg_name != nullptr) {
-      os << ", \"args\": {";
-      if (e.arg_name != nullptr) {
-        os << "\"" << e.arg_name << "\": " << e.arg;
-      }
-      if (e.sarg_name != nullptr) {
-        if (e.arg_name != nullptr) os << ", ";
-        os << "\"" << e.sarg_name << "\": \"" << e.sarg << "\"";
-      }
-      os << "}";
+    bool has_args = false;
+    const auto arg_key = [&](const char* name) {
+      os << (has_args ? ", \"" : ", \"args\": {\"") << name << "\": ";
+      has_args = true;
+    };
+    for (const TraceArg& a : e.args) {
+      if (a.name == nullptr) continue;
+      arg_key(a.name);
+      os << a.value;
     }
-    os << "}";
+    if (e.sarg_name != nullptr) {
+      arg_key(e.sarg_name);
+      os << "\"" << e.sarg << "\"";
+    }
+    os << (has_args ? "}}" : "}");
   }
   os << "\n]}\n";
 }
@@ -135,9 +112,10 @@ std::uint64_t TraceLog::digest() const {
     h.mix(static_cast<std::uint64_t>(e.tid));
     h.mix(static_cast<std::uint64_t>(e.ts_us));
     h.mix(static_cast<std::uint64_t>(e.dur_us));
-    if (e.arg_name != nullptr) {
-      h.mix(e.arg_name);
-      h.mix(e.arg);
+    for (const TraceArg& a : e.args) {
+      if (a.name == nullptr) continue;
+      h.mix(a.name);
+      h.mix(a.value);
     }
     if (e.sarg_name != nullptr) {
       h.mix(e.sarg_name);

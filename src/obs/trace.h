@@ -23,6 +23,7 @@
 // site in practice) — emission stays allocation-free.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -32,6 +33,12 @@ namespace itb::obs {
 
 enum class TracePhase : std::uint8_t { kSpan = 0, kInstant = 1 };
 
+/// A named numeric argument; a null name marks an unused slot.
+struct TraceArg {
+  const char* name = nullptr;
+  std::uint64_t value = 0;
+};
+
 struct TraceEvent {
   const char* name = "";
   const char* cat = "";
@@ -40,8 +47,9 @@ struct TraceEvent {
   std::uint32_t tid = 0;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;          ///< spans only
-  const char* arg_name = nullptr;   ///< optional numeric argument
-  std::uint64_t arg = 0;
+  /// Optional numeric arguments, written in slot order. Three slots fit
+  /// the largest user: a poll's round, tag and serving AP.
+  std::array<TraceArg, 3> args{};
   const char* sarg_name = nullptr;  ///< optional string argument
   const char* sarg = nullptr;
 };
@@ -53,19 +61,6 @@ class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity) : capacity_(capacity) {
     ring_.reserve(capacity_);
-  }
-
-  void span(const char* name, const char* cat, std::uint32_t pid,
-            std::uint32_t tid, std::int64_t ts_us, std::int64_t dur_us) {
-    TraceEvent e;
-    e.name = name;
-    e.cat = cat;
-    e.phase = TracePhase::kSpan;
-    e.pid = pid;
-    e.tid = tid;
-    e.ts_us = ts_us;
-    e.dur_us = dur_us;
-    push(e);
   }
 
   void instant(const char* name, const char* cat, std::uint32_t pid,
@@ -115,10 +110,6 @@ class TraceLog {
   void set_thread_name(std::uint32_t pid, std::uint32_t tid, std::string name);
 
   /// Direct emission for single-threaded phases.
-  void span(const char* name, const char* cat, std::uint32_t pid,
-            std::uint32_t tid, std::int64_t ts_us, std::int64_t dur_us);
-  void instant(const char* name, const char* cat, std::uint32_t pid,
-               std::uint32_t tid, std::int64_t ts_us);
   void push(const TraceEvent& e) { events_.push_back(e); }
 
   /// Appends one shard's surviving events; call in shard-index order so the

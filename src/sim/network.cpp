@@ -46,10 +46,11 @@ struct Shard {
 };
 
 /// Reduction block: the poll counters plus the six double sums the fleet
-/// means need. Without keep_per_tag each shard folds its tags into one of
-/// these, so memory stays O(shards + threads * shard_tags) instead of a
-/// ~250 MB TagStats array at 1M tags; the blocks then merge in shard-index
-/// order, so the result is thread-count invariant.
+/// means need. Each shard folds its tags into one of these in slot order,
+/// and the blocks merge in shard-index order: one summation order, so the
+/// fleet totals are thread-count invariant and the same with or without
+/// keep_per_tag, and memory stays O(shards + threads * shard_tags) when no
+/// per-tag array is kept.
 struct ShardAgg : PollCounters {
   double payload_bits = 0.0;
   double tx_energy_nj = 0.0;
@@ -91,25 +92,6 @@ Real waveform_per_at(mac::LinkWaveform w, Real snr_db,
   }
   return itb::channel::per_802154(snr_db, wire_bytes);
 }
-
-/// One shard's bounded PollRecord buffer: beyond trace_capacity the oldest
-/// record is overwritten. Per-shard rings plus a global oldest-trim after
-/// the merge keep the kept window identical at any thread count.
-struct PollRing {
-  std::vector<PollRecord> ring;
-  std::size_t head = 0;        ///< oldest record once the ring is full
-  std::uint64_t emitted = 0;
-
-  void push(const PollRecord& r, std::size_t capacity) {
-    ++emitted;
-    if (capacity == 0 || ring.size() < capacity) {
-      ring.push_back(r);
-      return;
-    }
-    ring[head] = r;
-    head = (head + 1) % capacity;
-  }
-};
 
 }  // namespace
 
@@ -427,23 +409,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
     }
   }
 
-  // Folds one tag into a reduction block: its counters, plus its goodput,
-  // duty-cycle and power terms at its group's timeline length and SSB
-  // shift. Both reduction paths below fold through here.
-  const auto add = [&](ShardAgg& agg, const TagStats& ts, double elapsed,
-                       Real shift) {
-    agg += ts;
-    agg.payload_bits += ts.payload_bits;
-    agg.tx_energy_nj += ts.tx_energy_nj;
-    agg.sum_tag_goodput += mac::safe_goodput_kbps(ts.payload_bits, elapsed);
-    const double airtime_duty = elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
-    const double harvest_duty = elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
-    agg.sum_airtime_duty += airtime_duty;
-    agg.sum_harvest_duty += harvest_duty;
-    agg.sum_power_uw += power.average_power_uw(cfg_.rate, shift,
-                                               std::min(airtime_duty, 1.0));
-  };
-
   // Fixed shard partition: contiguous slot ranges within each group,
   // independent of num_threads (part of the result's identity).
   std::vector<Shard> shards;
@@ -454,15 +419,13 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
     }
   }
 
-  // Per-tag records are only materialized globally when the caller asked to
-  // keep them; otherwise each shard streams its TagStats into a ShardAgg
-  // block and the O(tags) array is never allocated.
+  // The O(tags) per-tag array exists only when the caller asked to keep
+  // it; the fleet totals always come from the ShardAgg blocks.
   std::vector<TagStats> tag_stats(cfg_.keep_per_tag ? n : 0);
-  std::vector<ShardAgg> shard_agg(cfg_.keep_per_tag ? 0 : shards.size());
+  std::vector<ShardAgg> shard_agg(shards.size());
   std::vector<LatencyHistogram> shard_latency(shards.size());
   std::vector<LatencyHistogram> shard_recovery(shards.size());
   std::vector<RetryHistogram> shard_retries(shards.size());
-  std::vector<PollRing> shard_trace(shards.size());
 
   // Observation state: the registry is the schema (built single-threaded,
   // before the fan-out), each shard gets its own cell block and trace ring,
@@ -508,7 +471,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
         LatencyHistogram& latency = shard_latency[si];
         LatencyHistogram& recovery = shard_recovery[si];
         RetryHistogram& retries = shard_retries[si];
-        PollRing& ring = shard_trace[si];
         obs::MetricCells* const cells =
             capture != nullptr ? &shard_cells[si] : nullptr;
         obs::TraceBuffer* const tbuf =
@@ -520,10 +482,10 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
         const auto pid = static_cast<std::uint32_t>(g + 1);
         const auto tid = static_cast<std::uint32_t>(si + 1);
 
-        // Shard-local per-tag accounting: written here, then either copied
-        // into the global per-tag array (keep_per_tag) or folded into this
-        // shard's ShardAgg block (streaming). Local slots also keep the hot
-        // loop's writes dense instead of group-strided across the fleet.
+        // Shard-local per-tag accounting: written here, then folded into
+        // this shard's ShardAgg block (and copied into the global per-tag
+        // array with keep_per_tag). Local slots also keep the hot loop's
+        // writes dense instead of group-strided across the fleet.
         std::vector<TagStats> local(sh.end - sh.begin);
         // Payload generation time of each tag's currently-pending payload
         // (latency is measured from here to successful delivery; a failed
@@ -535,40 +497,34 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               mac::RateFallbackController(cfg_.fallback, initial_waveform);
         }
 
+        // One poll event per slot, named after its outcome. Outcomes that
+        // put energy on the air are spans (dur = attempt airtime on the
+        // active rung); skipped/silent slots are instants. A retransmission
+        // adds an arq.retx instant right after its poll event.
         const auto record_trace = [&](double t_us, std::uint32_t tag,
                                       std::uint64_t round, PollOutcome out,
                                       mac::LinkWaveform wf, std::uint32_t ap,
                                       bool retx) {
-          if (cfg_.keep_trace) {
-            ring.push({t_us, tag, static_cast<std::uint32_t>(round), out,
-                       static_cast<std::uint8_t>(wf), ap, retx},
-                      cfg_.trace_capacity);
+          if (tbuf == nullptr) return;
+          obs::TraceEvent e;
+          e.name = poll_outcome_name(out);
+          e.cat = "poll";
+          e.pid = pid;
+          e.tid = tid;
+          e.ts_us = static_cast<std::int64_t>(t_us);
+          const bool on_air = out == PollOutcome::kDelivered ||
+                              out == PollOutcome::kCollision ||
+                              out == PollOutcome::kDecodeFailure;
+          if (on_air) {
+            e.phase = obs::TracePhase::kSpan;
+            e.dur_us = static_cast<std::int64_t>(
+                attempt_airtime_us[static_cast<std::size_t>(wf)]);
           }
-          if (tbuf != nullptr) {
-            // Outcomes that put energy on the air are spans (dur = attempt
-            // airtime on the active rung); skipped/silent slots are
-            // instants.
-            obs::TraceEvent e;
-            e.name = poll_outcome_name(out);
-            e.cat = "poll";
-            e.pid = pid;
-            e.tid = tid;
-            e.ts_us = static_cast<std::int64_t>(t_us);
-            const bool on_air = out == PollOutcome::kDelivered ||
-                                out == PollOutcome::kCollision ||
-                                out == PollOutcome::kDecodeFailure;
-            if (on_air) {
-              e.phase = obs::TracePhase::kSpan;
-              e.dur_us = static_cast<std::int64_t>(
-                  attempt_airtime_us[static_cast<std::size_t>(wf)]);
-            }
-            e.arg_name = "round";
-            e.arg = round;
-            e.sarg_name = "waveform";
-            e.sarg = mac::waveform_name(wf);
-            tbuf->push(e);
-            if (retx) tbuf->instant("arq.retx", "arq", pid, tid, e.ts_us);
-          }
+          e.args = {{{"round", round}, {"tag", tag}, {"ap", ap}}};
+          e.sarg_name = "waveform";
+          e.sarg = mac::waveform_name(wf);
+          tbuf->push(e);
+          if (retx) tbuf->instant("arq.retx", "arq", pid, tid, e.ts_us);
         };
         // A skipped or failed poll opens a disruption window; the next
         // delivered attempt closes it and records the recovery time.
@@ -826,8 +782,12 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
         }
 
         // Static per-tag link annotations + deterministic harvest model,
-        // then the tag leaves the shard: copied into the tag-indexed array
-        // (keep_per_tag) or folded, in slot order, into the shard's block.
+        // then the tag leaves the shard: folded, in slot order, into the
+        // shard's block (its counters plus its goodput, duty-cycle and power
+        // terms at the group's timeline length and SSB shift), and copied
+        // into the tag-indexed array with keep_per_tag.
+        const double elapsed = channels_[g].elapsed_us;
+        ShardAgg& agg = shard_agg[si];
         for (std::size_t s = sh.begin; s < sh.end; ++s) {
           const std::uint32_t tag = group_tags_[g][s];
           TagStats& ts = local[s - sh.begin];
@@ -846,8 +806,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
           // harvest time is independent of fleet size; the AP's queries add
           // the tag's own downlink illumination on top.
           const double adv_events =
-              channels_[g].elapsed_us /
-              (cfg_.polling.advertising_interval_ms * 1e3);
+              elapsed / (cfg_.polling.advertising_interval_ms * 1e3);
           ts.harvest_us = adv_events * 3.0 * kAdvPacketUs +
                           static_cast<double>(ts.queries_sent) * query_us;
           // Metrics flush: counters derive from the TagStats this shard
@@ -859,11 +818,20 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               }
             }
           }
-          if (cfg_.keep_per_tag) {
-            tag_stats[tag] = ts;
-          } else {
-            add(shard_agg[si], ts, channels_[g].elapsed_us, shift_hz[g]);
-          }
+          agg += ts;
+          agg.payload_bits += ts.payload_bits;
+          agg.tx_energy_nj += ts.tx_energy_nj;
+          agg.sum_tag_goodput +=
+              mac::safe_goodput_kbps(ts.payload_bits, elapsed);
+          const double airtime_duty =
+              elapsed > 0.0 ? ts.airtime_us / elapsed : 0.0;
+          const double harvest_duty =
+              elapsed > 0.0 ? ts.harvest_us / elapsed : 0.0;
+          agg.sum_airtime_duty += airtime_duty;
+          agg.sum_harvest_duty += harvest_duty;
+          agg.sum_power_uw += power.average_power_uw(
+              cfg_.rate, shift_hz[g], std::min(airtime_duty, 1.0));
+          if (cfg_.keep_per_tag) tag_stats[tag] = ts;
         }
       });
 
@@ -877,57 +845,15 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   for (const LatencyHistogram& h : shard_latency) out.query_latency.merge(h);
   for (const LatencyHistogram& h : shard_recovery) out.recovery_time.merge(h);
   for (const RetryHistogram& h : shard_retries) out.retry_histogram.merge(h);
-  if (cfg_.keep_trace) {
-    std::uint64_t emitted = 0;
-    for (const PollRing& r : shard_trace) {
-      emitted += r.emitted;
-      for (std::size_t i = 0; i < r.ring.size(); ++i) {
-        out.trace.push_back(r.ring[(r.head + i) % r.ring.size()]);
-      }
-    }
-    // Shard order is per-group slot order; re-sort into one global
-    // timeline. (time, tag, round) is a total order over poll records.
-    std::sort(out.trace.begin(), out.trace.end(),
-              [](const PollRecord& a, const PollRecord& b) {
-                if (a.time_us != b.time_us) return a.time_us < b.time_us;
-                if (a.tag != b.tag) return a.tag < b.tag;
-                return a.round < b.round;
-              });
-    // Per-shard rings bound memory during the run; this global trim makes
-    // the kept window a pure function of the config (the same newest
-    // trace_capacity records at any thread count).
-    if (cfg_.trace_capacity > 0 && out.trace.size() > cfg_.trace_capacity) {
-      out.trace.erase(out.trace.begin(),
-                      out.trace.begin() +
-                          static_cast<std::ptrdiff_t>(out.trace.size() -
-                                                      cfg_.trace_capacity));
-    }
-    out.trace_dropped = emitted - out.trace.size();
-  }
-
   for (std::size_t g = 0; g < num_groups; ++g) {
     out.elapsed_us = std::max(out.elapsed_us, channels_[g].elapsed_us);
   }
-  // Per-tag mode folds tag by tag, group-major, into one block; streaming
-  // merges the shard blocks in shard order, which is the same group-major
-  // walk cut at shard boundaries.
   ShardAgg total;
-  const auto count_channel = [&](std::size_t g, const PollCounters& c) {
-    out.channels[g].replies += c.replies_received;
-    out.channels[g].collisions += c.collisions;
-  };
-  if (cfg_.keep_per_tag) {
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      for (const std::uint32_t t : group_tags_[g]) {
-        add(total, tag_stats[t], channels_[g].elapsed_us, shift_hz[g]);
-        count_channel(g, tag_stats[t]);
-      }
-    }
-  } else {
-    for (std::size_t si = 0; si < shards.size(); ++si) {
-      total.merge(shard_agg[si]);
-      count_channel(shards[si].group, shard_agg[si]);
-    }
+  for (std::size_t si = 0; si < shards.size(); ++si) {
+    total.merge(shard_agg[si]);
+    ChannelStats& ch = out.channels[shards[si].group];
+    ch.replies += shard_agg[si].replies_received;
+    ch.collisions += shard_agg[si].collisions;
   }
   static_cast<PollCounters&>(out) = total;
   out.aggregate_goodput_kbps =
@@ -980,8 +906,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
           e.tid = 1;
           e.ts_us = static_cast<std::int64_t>(fe.start_us);
           e.dur_us = static_cast<std::int64_t>(fe.duration_us);
-          e.arg_name = "entity";
-          e.arg = fe.entity;
+          e.args[0] = {"entity", fe.entity};
           capture->trace.push(e);
         }
       }
@@ -989,8 +914,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
       capture->trace.finalize();
     }
     capture->metrics = registry.merge(shard_cells);
-    capture->metrics.append_counter("itb.sim.trace_records_dropped",
-                                    out.trace_dropped);
     capture->metrics.append_counter("itb.trace.events_dropped",
                                     capture->trace.dropped());
     capture->metrics.append_gauge("itb.sim.elapsed_us", out.elapsed_us);

@@ -50,9 +50,9 @@
 // before the next query), every stochastic decision draws from an
 // entity_stream() substream keyed by (tag, round), the fault timeline is
 // immutable and queried as a pure function of (entity, time), ARQ/fallback state is a pure fold over one
-// tag's own attempt outcomes, and the final reduction is a sequential
-// index-ordered merge — so run() is bit-identical at any thread count
-// (asserted in tests/sim_test.cpp and tests/resilience_test.cpp).
+// tag's own attempt outcomes, and the final reduction merges per-shard
+// blocks in shard-index order — so run() is bit-identical at any thread
+// count (asserted in tests/sim_test.cpp and tests/resilience_test.cpp).
 #pragma once
 
 #include <array>
@@ -124,15 +124,6 @@ struct NetworkConfig {
   /// Reassign tags of a downed AP to their precomputed next-nearest live
   /// AP instead of skipping their polls.
   bool ap_failover = false;
-  /// Collect a per-poll PollRecord trace (golden fault-timeline tests,
-  /// demos). Costs memory; excluded from digest().
-  bool keep_trace = false;
-  /// Upper bound on the kept PollRecord trace (0 = unbounded). When the
-  /// run emits more records, the *oldest* are dropped and counted in
-  /// NetworkStats::trace_dropped — a long fault night degrades to "the
-  /// most recent window" instead of unbounded memory. Never affects
-  /// digest().
-  std::size_t trace_capacity = 0;
   // --- execution -------------------------------------------------------
   std::uint64_t seed = 1;
   /// Worker threads for the shard fan-out; 0 = all hardware threads.
@@ -141,6 +132,9 @@ struct NetworkConfig {
   /// Tags per shard. Part of the *result identity* (fixed partition), so it
   /// is a config knob and never derived from num_threads.
   std::size_t shard_tags = 256;
+  /// Also return every tag's TagStats in NetworkStats::per_tag (O(tags)
+  /// memory). Only adds the per-tag records; the fleet totals are the
+  /// same either way.
   bool keep_per_tag = true;
 };
 

@@ -1,9 +1,10 @@
 // Aggregate statistics emitted by the network simulator.
 //
-// Everything here is designed for order-independent accumulation: shards
-// accumulate into disjoint per-tag slots during the parallel phase, and the
-// final reduction walks tags in index order on one thread, so the merged
-// NetworkStats is bit-identical at any thread count. digest() condenses the
+// Each shard writes its tags' TagStats into shard-local slots and folds
+// them, in slot order, into one reduction block; one thread then merges the
+// blocks in shard-index order. That single summation order makes the merged
+// NetworkStats bit-identical at any thread count, and the fleet totals the
+// same whether or not the per-tag records are kept. digest() condenses the
 // full result (including every per-tag counter and double bit pattern) into
 // one FNV-1a hash, which the determinism tests compare across thread
 // counts.
@@ -59,7 +60,8 @@ struct RetryHistogram {
   double mean_attempts() const;
 };
 
-/// How one TDMA poll slot resolved (per-poll trace + outcome taxonomy).
+/// How one TDMA poll slot resolved. Each poll trace event is named after
+/// its outcome (poll_outcome_name).
 enum class PollOutcome : std::uint8_t {
   kDelivered = 0,         ///< fragment decoded at the AP
   kDownlinkMiss = 1,      ///< tag never heard the query
@@ -72,18 +74,6 @@ enum class PollOutcome : std::uint8_t {
   kLinkDown = 8,          ///< budget declared the link dead (channel::link)
 };
 const char* poll_outcome_name(PollOutcome o);
-
-/// One polling-slot record, collected only when NetworkConfig::keep_trace
-/// is set (golden fault-timeline tests, demos). Not part of digest().
-struct PollRecord {
-  double time_us = 0.0;
-  std::uint32_t tag = 0;
-  std::uint32_t round = 0;
-  PollOutcome outcome = PollOutcome::kDelivered;
-  std::uint8_t waveform = 0;  ///< mac::LinkWaveform in effect for the poll
-  std::uint32_t ap = 0;       ///< AP that served (or would have served) it
-  bool retransmission = false;
-};
 
 /// The per-tag poll counters, declared once. TagStats (one tag),
 /// NetworkStats (the fleet) and the simulator's per-shard reduction block
@@ -205,15 +195,10 @@ struct NetworkStats : PollCounters {
   double energy_per_delivered_byte_nj = 0.0;
   std::vector<ChannelStats> channels;
   std::vector<TagStats> per_tag;  ///< empty when NetworkConfig::keep_per_tag off
-  std::vector<PollRecord> trace;  ///< only when NetworkConfig::keep_trace
-  /// PollRecords dropped (oldest-first) to honor NetworkConfig::
-  /// trace_capacity. Like the trace itself, excluded from digest(): the
-  /// trace knobs must never change the result identity.
-  std::uint64_t trace_dropped = 0;
 
-  /// FNV-1a hash over every field except the trace (doubles by bit
-  /// pattern, vectors in index order), in a frozen order that pinned
-  /// digests depend on. Two runs are bit-identical iff their digests match.
+  /// FNV-1a hash over every field (doubles by bit pattern, vectors in
+  /// index order), in a frozen order that pinned digests depend on. Two
+  /// runs are bit-identical iff their digests match.
   /// The fleet-level rate_downshifts/rate_upshifts are the one exception:
   /// they were added after the pins were recorded, and they are plain sums
   /// of the per-tag shift counts, which the per-tag records (hashed when

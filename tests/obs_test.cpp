@@ -1,24 +1,31 @@
 // Observability-layer suite (ctest -L obs): the metrics registry and trace
 // log must be bit-identical at any thread count and byte-identical across
 // repeat exports, the trace JSON must actually parse, histogram bucket
-// edges must follow the Prometheus `le` convention, ProfZone must account
-// self vs child time, and the PollRecord ring must drop oldest-first
-// without touching the digest.
+// edges must follow the Prometheus `le` convention, and ProfZone must
+// account self vs child time. The obs trace is the simulator's only
+// per-poll record, so it must also carry every poll each tag's counters
+// count, and its bounded per-shard rings must keep each shard's newest
+// events at any thread count.
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "fleet_configs.h"
 #include "obs/capture.h"
 #include "obs/fnv1a.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "poll_trace.h"
 #include "sim/network.h"
 
 namespace {
@@ -203,7 +210,6 @@ sim::NetworkConfig ward_config() {
   cfg.enable_arq = true;
   cfg.fallback.enable_rate_fallback = true;
   cfg.ap_failover = true;
-  cfg.keep_trace = true;
   cfg.faults.ap_outage(0, 1e6, 2e6);
   cfg.faults.interference(6, 2e6, 1e6, 18.0);
   cfg.faults.brownout(5, 5e5, 5e5);
@@ -312,8 +318,26 @@ TEST(TraceLogTest, ExportParsesAndOrdersByTime) {
   obs::TraceLog log;
   log.set_process_name(1, "proc \"one\"");  // exercises string escaping
   log.set_thread_name(1, 1, "thread");
-  log.span("late", "t", 1, 1, 50, 10);
-  log.instant("early", "t", 1, 1, 5);
+  obs::TraceEvent late;
+  late.name = "late";
+  late.cat = "t";
+  late.phase = obs::TracePhase::kSpan;
+  late.pid = 1;
+  late.tid = 1;
+  late.ts_us = 50;
+  late.dur_us = 10;
+  late.args = {{{"round", 2}, {"tag", 7}}};
+  late.sarg_name = "waveform";
+  late.sarg = "wifi-2M";
+  obs::TraceEvent early = late;
+  early.name = "early";
+  early.phase = obs::TracePhase::kInstant;
+  early.ts_us = 5;
+  early.dur_us = 0;
+  early.args = {};
+  early.sarg_name = nullptr;
+  log.push(late);
+  log.push(early);
   log.finalize();
   ASSERT_EQ(log.events().size(), 2u);
   EXPECT_EQ(std::string(log.events()[0].name), "early");
@@ -327,8 +351,14 @@ TEST(TraceLogTest, ExportParsesAndOrdersByTime) {
   EXPECT_EQ(events.arr[0].at("ph").str, "M");
   EXPECT_EQ(events.arr[0].at("args").at("name").str, "proc \"one\"");
   EXPECT_EQ(events.arr[2].at("name").str, "early");
+  EXPECT_FALSE(events.arr[2].has("args"));
   EXPECT_EQ(events.arr[3].at("name").str, "late");
   EXPECT_DOUBLE_EQ(events.arr[3].at("dur").number, 10.0);
+  const Json& args = events.arr[3].at("args");
+  EXPECT_EQ(args.obj.size(), 3u);  // unnamed third slot is not written
+  EXPECT_DOUBLE_EQ(args.at("round").number, 2.0);
+  EXPECT_DOUBLE_EQ(args.at("tag").number, 7.0);
+  EXPECT_EQ(args.at("waveform").str, "wifi-2M");
 }
 
 // --------------------------------------------------------------------------
@@ -401,14 +431,14 @@ TEST(NetworkCaptureTest, CaptureDigestsPinned) {
   const sim::NetworkConfig cfg = ward_config();
   obs::RunCapture capture;
   const sim::NetworkStats s = sim::NetworkCoordinator(cfg).run(&capture);
-  EXPECT_EQ(s.digest(), 0xe774b24ac24890ddULL);
-  EXPECT_EQ(capture.metrics.digest(), 0x098b29c02030db59ULL);
-  EXPECT_EQ(fnv1a(trace_json(capture.trace)), 0xcdb806285ccb98fbULL);
+  EXPECT_EQ(s.digest(), 0x5e058c8e62ba613fULL);
+  EXPECT_EQ(capture.metrics.digest(), 0x57af101132a2609fULL);
+  EXPECT_EQ(fnv1a(trace_json(capture.trace)), 0x85f28d7328699ab9ULL);
 
   obs::RunCapture bounded;
   bounded.trace_events_per_shard = 16;
   (void)sim::NetworkCoordinator(cfg).run(&bounded);
-  EXPECT_EQ(fnv1a(trace_json(bounded.trace)), 0xcd1cce903261ef8eULL);
+  EXPECT_EQ(fnv1a(trace_json(bounded.trace)), 0xe7be8bb3a0df7c4aULL);
 }
 
 TEST(NetworkCaptureTest, TraceJsonParsesBackWithFaultSpans) {
@@ -450,52 +480,147 @@ TEST(NetworkCaptureTest, TraceJsonParsesBackWithFaultSpans) {
   EXPECT_GT(poll_events, 0u);
 }
 
-TEST(NetworkCaptureTest, TraceRingDropsOldestAndCountsThem) {
-  sim::NetworkConfig cfg = ward_config();
-  cfg.num_threads = 2;
-  obs::RunCapture capture;
-  capture.trace_events_per_shard = 16;  // force per-shard drops
-  (void)sim::NetworkCoordinator(cfg).run(&capture);
-  EXPECT_GT(capture.trace.dropped(), 0u);
-  EXPECT_EQ(capture.metrics.counter_value("itb.trace.events_dropped"),
-            capture.trace.dropped());
+TEST(NetworkCaptureTest, TraceCarriesEveryPollOfEveryTag) {
+  // The obs trace is the only per-poll record, so on an unbounded capture
+  // each tag's poll events must add up to that tag's counters. ward_config()
+  // polls none of its outage or brownout victims inside their windows, so
+  // the net_resilience ARQ grid (with backoff) adds faults that do hit and
+  // replies delivered through the backup AP, and a third fleet has a NaN
+  // budget, so every link is down.
+  sim::NetworkConfig hit = sim::test::net_resilience_config(true);
+  hit.arq.backoff_base_slots = 1;
+  sim::NetworkConfig dead = ward_config();
+  dead.topology.num_tags = 30;
+  dead.faults = {};
+  dead.tag_medium_loss_db = std::numeric_limits<double>::quiet_NaN();
+
+  const struct {
+    sim::PollOutcome outcome;
+    std::uint64_t sim::PollCounters::*counter;
+  } rows[] = {
+      {sim::PollOutcome::kDelivered, &sim::PollCounters::replies_received},
+      {sim::PollOutcome::kApOutage, &sim::PollCounters::outage_skips},
+      {sim::PollOutcome::kBrownout, &sim::PollCounters::brownout_skips},
+      {sim::PollOutcome::kBackoff, &sim::PollCounters::backoff_skips},
+      {sim::PollOutcome::kLinkDown, &sim::PollCounters::link_down_polls},
+      {sim::PollOutcome::kDownlinkMiss, &sim::PollCounters::downlink_misses},
+      {sim::PollOutcome::kReservationDenied,
+       &sim::PollCounters::reservation_denied},
+      {sim::PollOutcome::kCollision, &sim::PollCounters::collisions},
+      {sim::PollOutcome::kDecodeFailure, &sim::PollCounters::decode_failures},
+  };
+  sim::PollCounters fleets;
+  std::uint64_t delivered_via_backup = 0;
+  for (const sim::NetworkConfig& cfg : {ward_config(), hit, dead}) {
+    obs::RunCapture capture;
+    const sim::NetworkStats s = sim::NetworkCoordinator(cfg).run(&capture);
+    ASSERT_EQ(capture.trace.dropped(), 0u);
+    ASSERT_EQ(s.per_tag.size(), cfg.topology.num_tags);
+    fleets += s;
+
+    struct Tally {
+      std::map<std::string, std::uint64_t> outcomes;
+      std::uint64_t retransmissions = 0;
+      std::uint64_t failover_attempts = 0;
+    };
+    std::vector<Tally> tally(s.per_tag.size());
+    for (const sim::test::TracedPoll& p :
+         sim::test::traced_polls(capture.trace)) {
+      ASSERT_LT(p.tag, tally.size());
+      Tally& t = tally[p.tag];
+      ++t.outcomes[p.outcome];
+      t.retransmissions += p.retransmission ? 1 : 0;
+      // failover_polls counts delivery attempts served by the backup AP. A
+      // brownout or backoff slot names the AP that would have served it
+      // but is not an attempt.
+      const bool attempt = p.outcome != "brownout" && p.outcome != "backoff";
+      const bool backup = p.ap != s.per_tag[p.tag].ap;
+      t.failover_attempts += attempt && backup ? 1 : 0;
+      delivered_via_backup += p.outcome == "delivered" && backup ? 1 : 0;
+    }
+    for (std::size_t tag = 0; tag < tally.size(); ++tag) {
+      const sim::TagStats& ts = s.per_tag[tag];
+      Tally& t = tally[tag];
+      for (const auto& row : rows) {
+        const char* name = sim::poll_outcome_name(row.outcome);
+        EXPECT_EQ(t.outcomes[name], ts.*row.counter)
+            << "tag " << tag << " " << name;
+      }
+      EXPECT_EQ(t.retransmissions, ts.retransmissions) << "tag " << tag;
+      EXPECT_EQ(t.failover_attempts, ts.failover_polls) << "tag " << tag;
+    }
+  }
+  // Every counter checked above is nonzero on some fleet.
+  for (const auto& row : rows) {
+    EXPECT_GT(fleets.*row.counter, 0u)
+        << sim::poll_outcome_name(row.outcome) << " never fired";
+  }
+  EXPECT_GT(fleets.retransmissions, 0u);
+  EXPECT_GT(delivered_via_backup, 0u);
 }
 
-// --------------------------------------------------------------------------
-// PollRecord trace hardening (NetworkConfig::trace_capacity)
-// --------------------------------------------------------------------------
+/// One event's fields as text, for comparing events across two logs.
+std::string describe(const obs::TraceEvent& e) {
+  std::ostringstream os;
+  os << e.name << ' ' << e.cat << ' ' << static_cast<int>(e.phase) << ' '
+     << e.ts_us << ' ' << e.dur_us;
+  for (const obs::TraceArg& a : e.args) {
+    if (a.name != nullptr) os << ' ' << a.name << '=' << a.value;
+  }
+  if (e.sarg_name != nullptr) os << ' ' << e.sarg_name << '=' << e.sarg;
+  return os.str();
+}
 
-TEST(PollTraceCapacityTest, KeepsNewestRecordsAndCountsDrops) {
+/// A log's events split by (pid, tid) track, each in log order.
+std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::string>>
+events_by_track(const obs::TraceLog& log) {
+  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<std::string>>
+      tracks;
+  for (const obs::TraceEvent& e : log.events()) {
+    tracks[{e.pid, e.tid}].push_back(describe(e));
+  }
+  return tracks;
+}
+
+TEST(NetworkCaptureTest, BoundedRingsKeepEachShardsNewestEvents) {
+  // 16-event rings force drops in every busy shard. The bounded trace must
+  // be the same bytes at any thread count, count every dropped event, and
+  // keep exactly the newest 16 events of each shard's unbounded stream.
   sim::NetworkConfig cfg = ward_config();
   cfg.num_threads = 1;
-  const sim::NetworkStats full = sim::NetworkCoordinator(cfg).run();
-  ASSERT_GT(full.trace.size(), 256u);
-  EXPECT_EQ(full.trace_dropped, 0u);
+  obs::RunCapture full;
+  (void)sim::NetworkCoordinator(cfg).run(&full);
+  ASSERT_EQ(full.trace.dropped(), 0u);
+  const auto full_tracks = events_by_track(full.trace);
 
-  cfg.trace_capacity = 256;
+  std::string json_1t;
+  std::uint64_t dropped_1t = 0;
   for (const std::size_t threads : {1, 2, 8}) {
     cfg.num_threads = threads;
-    const sim::NetworkStats bounded = sim::NetworkCoordinator(cfg).run();
-    ASSERT_EQ(bounded.trace.size(), 256u);
-    EXPECT_EQ(bounded.trace_dropped, full.trace.size() - 256u);
-    // Oldest-drop: the kept window is exactly the tail of the full trace,
-    // at any thread count.
-    const std::size_t off = full.trace.size() - 256u;
-    for (std::size_t i = 0; i < 256u; ++i) {
-      EXPECT_EQ(bounded.trace[i].time_us, full.trace[off + i].time_us);
-      EXPECT_EQ(bounded.trace[i].tag, full.trace[off + i].tag);
-      EXPECT_EQ(bounded.trace[i].outcome, full.trace[off + i].outcome);
+    obs::RunCapture bounded;
+    bounded.trace_events_per_shard = 16;
+    (void)sim::NetworkCoordinator(cfg).run(&bounded);
+    EXPECT_GT(bounded.trace.dropped(), 0u);
+    EXPECT_EQ(bounded.trace.size() + bounded.trace.dropped(),
+              full.trace.size());
+    EXPECT_EQ(bounded.metrics.counter_value("itb.trace.events_dropped"),
+              bounded.trace.dropped());
+    if (threads == 1) {
+      json_1t = trace_json(bounded.trace);
+      dropped_1t = bounded.trace.dropped();
+      const auto kept_tracks = events_by_track(bounded.trace);
+      ASSERT_EQ(kept_tracks.size(), full_tracks.size());
+      for (const auto& [track, all] : full_tracks) {
+        const std::size_t keep = std::min<std::size_t>(all.size(), 16);
+        const std::vector<std::string> newest(all.end() - keep, all.end());
+        EXPECT_EQ(kept_tracks.at(track), newest)
+            << "pid " << track.first << " tid " << track.second;
+      }
+    } else {
+      EXPECT_EQ(trace_json(bounded.trace), json_1t) << threads << " threads";
+      EXPECT_EQ(bounded.trace.dropped(), dropped_1t) << threads << " threads";
     }
-    // The knob never touches the result identity.
-    EXPECT_EQ(bounded.digest(), full.digest());
   }
-
-  // The drop counter surfaces through the metrics registry.
-  cfg.num_threads = 1;
-  obs::RunCapture capture;
-  const sim::NetworkStats s = sim::NetworkCoordinator(cfg).run(&capture);
-  EXPECT_EQ(capture.metrics.counter_value("itb.sim.trace_records_dropped"),
-            s.trace_dropped);
 }
 
 // --------------------------------------------------------------------------

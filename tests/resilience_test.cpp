@@ -10,6 +10,8 @@
 
 #include "fleet_configs.h"
 #include "mac/arq.h"
+#include "obs/capture.h"
+#include "poll_trace.h"
 #include "sim/faults.h"
 #include "sim/network.h"
 #include "sim/stats.h"
@@ -242,7 +244,6 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
   cfg.topology.num_helpers = 2;
   cfg.topology.num_aps = 2;
   cfg.rounds = 6;
-  cfg.keep_trace = true;
 
   // Learn tag 0's primary/failover APs from a fault-free build, then
   // target the outage at exactly that primary.
@@ -257,17 +258,20 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
   // [70 ms, 130 ms) covers exactly its round-2 and round-3 queries.
   cfg.faults.ap_outage(primary, 70e3, 60e3);
 
-  const auto tag0_trace = [](const NetworkStats& s) {
-    std::vector<PollRecord> t;
-    for (const PollRecord& r : s.trace) {
-      if (r.tag == 0) t.push_back(r);
+  // Runs the fleet and returns tag 0's polls from its obs trace.
+  const auto run_tag0 = [](const NetworkConfig& c, NetworkStats& stats) {
+    obs::RunCapture capture;
+    stats = NetworkCoordinator(c).run(&capture);
+    std::vector<test::TracedPoll> t;
+    for (const test::TracedPoll& p : test::traced_polls(capture.trace)) {
+      if (p.tag == 0) t.push_back(p);
     }
     return t;
   };
 
   cfg.ap_failover = false;
-  const NetworkStats plain = NetworkCoordinator(cfg).run();
-  const std::vector<PollRecord> pt = tag0_trace(plain);
+  NetworkStats plain;
+  const std::vector<test::TracedPoll> pt = run_tag0(cfg, plain);
   ASSERT_EQ(pt.size(), 6u);
   const PollOutcome expected[] = {
       PollOutcome::kDelivered, PollOutcome::kDelivered,
@@ -275,7 +279,8 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
       PollOutcome::kDelivered, PollOutcome::kDelivered};
   for (std::size_t r = 0; r < 6; ++r) {
     EXPECT_EQ(pt[r].round, r);
-    EXPECT_EQ(pt[r].outcome, expected[r]) << "round " << r;
+    EXPECT_EQ(pt[r].outcome, poll_outcome_name(expected[r])) << "round " << r;
+    EXPECT_EQ(pt[r].ap, primary) << "round " << r;
   }
   // The disruption opened at the round-2 query and healed at the round-4
   // delivery: recovery spans roughly two TDMA rounds.
@@ -290,11 +295,12 @@ TEST(Resilience, GoldenApOutageFailoverRecoveryTimeline) {
 
   // With failover every poll still delivers; rounds 2-3 ride the backup.
   cfg.ap_failover = true;
-  const NetworkStats fo = NetworkCoordinator(cfg).run();
-  const std::vector<PollRecord> ft = tag0_trace(fo);
+  NetworkStats fo;
+  const std::vector<test::TracedPoll> ft = run_tag0(cfg, fo);
   ASSERT_EQ(ft.size(), 6u);
   for (std::size_t r = 0; r < 6; ++r) {
-    EXPECT_EQ(ft[r].outcome, PollOutcome::kDelivered) << "round " << r;
+    EXPECT_EQ(ft[r].round, r);
+    EXPECT_EQ(ft[r].outcome, "delivered") << "round " << r;
     EXPECT_EQ(ft[r].ap, (r == 2 || r == 3) ? backup : primary)
         << "round " << r;
   }
@@ -397,16 +403,16 @@ TEST(Resilience, BackoffIdlesSlotsDeterministically) {
 }
 
 TEST(Resilience, NetResilienceDigestsPinned) {
-  // The BENCH_net_resilience.json digests at fault intensity 1 (5000-tag
-  // grid, bench/net_resilience.cpp's fleet and fault profile), with and
-  // without ARQ + fallback + failover. Pinning the trajectory's recorded
-  // values, rather than comparing two runs of the same build, catches any
-  // change to poll order or to an accumulator under faults.
+  // bench/net_resilience.cpp's digests at fault intensity 1 (5000-tag
+  // grid, its fleet and fault profile, per-tag records included), with and
+  // without ARQ + fallback + failover. Pinning recorded values, rather than
+  // comparing two runs of the same build, catches any change to poll order
+  // or to an accumulator under faults.
   EXPECT_EQ(NetworkCoordinator(test::net_resilience_config(false)).run().digest(),
-            0xa72bc4cbabd24423ULL)
+            0x755564557b3514f2ULL)
       << "x=1 plain";
   EXPECT_EQ(NetworkCoordinator(test::net_resilience_config(true)).run().digest(),
-            0x75eeb762f6feea36ULL)
+            0x6db00b808141881dULL)
       << "x=1 arq";
 }
 
