@@ -1,6 +1,8 @@
 // Additive white Gaussian noise, thermal noise floors and SNR utilities.
 #pragma once
 
+#include <span>
+
 #include "dsp/rng.h"
 #include "dsp/types.h"
 
@@ -35,12 +37,19 @@ class FrequencyOffset {
   Real hz_;
 };
 
-/// Adds complex AWGN of the given total noise power (variance) to samples.
+/// Adds complex AWGN of the given total noise power (variance) to samples,
+/// in place.
+void add_noise_variance_inplace(std::span<Complex> x, Real noise_variance,
+                                itb::dsp::Xoshiro256& rng);
+/// add_noise_variance_inplace on a copy of x.
 CVec add_noise_variance(const CVec& x, Real noise_variance,
                         itb::dsp::Xoshiro256& rng);
 
 /// Adds noise to achieve the requested SNR (dB) relative to the mean power
-/// of x.
+/// of x, in place.
+void add_noise_snr_inplace(std::span<Complex> x, Real snr_db,
+                           itb::dsp::Xoshiro256& rng);
+/// add_noise_snr_inplace on a copy of x.
 CVec add_noise_snr(const CVec& x, Real snr_db, itb::dsp::Xoshiro256& rng);
 
 /// Applies a static carrier frequency offset and initial phase.

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "channel/awgn.h"
 #include "dsp/types.h"
@@ -80,11 +81,17 @@ class ImpairmentChain {
   CVec apply(const CVec& x, std::uint64_t seed, std::uint64_t stream = 0) const;
 
   /// Channel-side stages only (multipath, CFO, phase noise, SRO, IQ) —
-  /// lets callers add receiver thermal noise *before* quantization.
+  /// lets callers add receiver thermal noise *before* quantization. Works
+  /// on `y` in place; the SRO stage changes its length.
+  void apply_channel_inplace(CVec& y, std::uint64_t seed,
+                             std::uint64_t stream = 0) const;
+  /// apply_channel_inplace on a copy of x.
   CVec apply_channel(const CVec& x, std::uint64_t seed,
                      std::uint64_t stream = 0) const;
 
-  /// ADC quantization alone (deterministic; no RNG involved).
+  /// ADC quantization alone (deterministic; no RNG involved), in place.
+  void apply_frontend_inplace(std::span<Complex> y) const;
+  /// apply_frontend_inplace on a copy of x.
   CVec apply_frontend(const CVec& x) const;
 
   /// CFO in Hz implied by cfo_ppm at the configured carrier.

@@ -58,7 +58,7 @@ DownlinkResult simulate_downlink(const DownlinkScenario& scenario,
   itb::dsp::Xoshiro256 rng(
       itb::dsp::splitmix64(scenario.seed ^ 0x646E6C6BULL));
   const Real noise_dbm = itb::channel::thermal_noise_dbm(20e6, 7.0);
-  rx = itb::channel::add_noise_variance(
+  itb::channel::add_noise_variance_inplace(
       rx, itb::dsp::dbm_to_watts(noise_dbm), rng);
 
   // Tag-side peak detection.

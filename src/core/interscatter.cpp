@@ -106,20 +106,20 @@ UplinkDecodeResult InterscatterSystem::simulate_frame(
   std::optional<itb::channel::ImpairmentChain> chain;
   if (impairment_cfg) {
     chain.emplace(*impairment_cfg);
-    chips = chain->apply_channel(chips, scenario_.seed);
+    chain->apply_channel_inplace(chips, scenario_.seed);
   }
 
   const Real noise_dbm = itb::channel::thermal_noise_dbm(
       11e6, scenario_.rx_noise_figure_db);  // post-despread equivalent BW
-  itb::dsp::CVec noisy = itb::channel::add_noise_variance(
+  itb::channel::add_noise_variance_inplace(
       chips, itb::dsp::dbm_to_watts(noise_dbm), rng);
-  if (chain) noisy = chain->apply_frontend(noisy);
+  if (chain) chain->apply_frontend_inplace(chips);
 
   // --- Decode ---------------------------------------------------------------
   itb::wifi::DsssRxConfig rxcfg;
   rxcfg.samples_per_chip = 1;
   const itb::wifi::DsssReceiver rx(rxcfg);
-  const auto res = rx.receive(noisy);
+  const auto res = rx.receive(chips);
   if (!res) return out;
 
   out.detected = true;

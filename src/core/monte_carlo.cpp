@@ -1,5 +1,8 @@
 #include "core/monte_carlo.h"
 
+#include <stdexcept>
+#include <utility>
+
 #include "channel/awgn.h"
 #include "channel/link.h"
 #include "core/arena.h"
@@ -22,6 +25,10 @@ std::uint64_t trial_seed(std::uint64_t sweep_seed, std::uint64_t point_index,
 
 std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
                                  const std::vector<double>& snr_grid_db) {
+  // A point with no trials has no PER (0/0), so refuse the config.
+  if (cfg.trials_per_point == 0) {
+    throw std::invalid_argument("per_vs_snr: trials_per_point must be > 0");
+  }
   itb::wifi::DsssTxConfig txcfg;
   txcfg.rate = cfg.rate;
   const itb::wifi::DsssTransmitter tx(txcfg);
@@ -48,16 +55,17 @@ std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
 
     itb::phy::Bytes psdu(cfg.psdu_bytes);
     for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(256));
-    const auto frame = tx.modulate(psdu);
+    auto frame = tx.modulate(psdu);
     // The chip stream occupies the full 22 MHz channel at 1 sample/chip,
     // so per-sample SNR equals channel SNR. Impairment randomness is keyed
     // on the trial's global index: independent of scheduling, and distinct
-    // from the noise substream.
-    itb::dsp::CVec wave = frame.baseband;
-    if (chain) wave = chain->apply_channel(wave, cfg.seed, idx);
-    auto noisy = itb::channel::add_noise_snr(wave, snr_grid_db[point], rng);
-    if (chain) noisy = chain->apply_frontend(noisy);
-    const auto result = rx.receive(noisy);
+    // from the noise substream. Channel, noise and ADC all work on the one
+    // trial buffer the baseband is moved into.
+    itb::dsp::CVec wave = std::move(frame.baseband);
+    if (chain) chain->apply_channel_inplace(wave, cfg.seed, idx);
+    itb::channel::add_noise_snr_inplace(wave, snr_grid_db[point], rng);
+    if (chain) chain->apply_frontend_inplace(wave);
+    const auto result = rx.receive(wave);
     const bool ok =
         result.has_value() && result->header_ok && result->psdu == psdu;
     failed[idx] = ok ? 0 : 1;

@@ -47,7 +47,8 @@ std::uint64_t trial_seed(std::uint64_t sweep_seed, std::uint64_t point_index,
 
 /// Sweeps channel SNR (dB, in the 22 MHz channel bandwidth) and measures
 /// frame error rate by decoding each noisy frame end-to-end, side by side
-/// with the closed-form prediction.
+/// with the closed-form prediction. Throws std::invalid_argument if
+/// cfg.trials_per_point is 0.
 std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
                                  const std::vector<double>& snr_grid_db);
 

@@ -5,6 +5,9 @@
 // library.
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "dsp/types.h"
@@ -22,6 +25,27 @@ inline std::uint64_t splitmix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+/// Marsaglia & Tsang (2000) ziggurat for the standard normal density
+/// f(x) = exp(-x^2/2): 256 layers of equal area v stacked under the curve,
+/// the bottom one carrying the tail beyond r. Layer i spans [0, x[i]) and
+/// f(x[i])..f(x[i+1]); x[0] = v/f(r) is the bottom layer's pseudo-width so
+/// that it too has area v. Built once, at first use, by ziggurat().
+struct Ziggurat {
+  static constexpr std::size_t kLayers = 256;
+  static constexpr Real kR = 3.6541528853610088;
+  static constexpr Real kV = 0.00492867323399;
+
+  Ziggurat();
+
+  Real x[kLayers + 1]{};
+  Real f[kLayers + 1]{};
+};
+
+inline const Ziggurat& ziggurat() {
+  static const Ziggurat z;
+  return z;
 }
 
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference algorithm).
@@ -64,19 +88,21 @@ class Xoshiro256 {
   /// Single random bit.
   bool bit() { return (next_u64() >> 63) != 0; }
 
-  /// Standard normal variate (Box–Muller; one value per call, cached pair).
+  /// Standard normal variate (ziggurat; one next_u64() per draw on the
+  /// fast path, which ~98.5% of draws take). The low 8 bits pick the
+  /// layer, bit 8 is the sign and bits 11-63 are the uniform; the sign goes
+  /// straight into the IEEE sign bit, so the fast path has one branch.
   Real gaussian() {
-    if (have_spare_) {
-      have_spare_ = false;
-      return spare_;
+    const Ziggurat& z = ziggurat();
+    for (;;) {
+      const std::uint64_t bits = next_u64();
+      const std::size_t i = bits & 0xFF;
+      const std::uint64_t sign = (bits & 0x100) << 55;
+      const Real x = static_cast<Real>(bits >> 11) * 0x1.0p-53 * z.x[i];
+      if (x < z.x[i + 1]) return with_sign(x, sign);
+      if (i == 0) return with_sign(gaussian_tail(), sign);
+      if (wedge_accepts(i, x)) return with_sign(x, sign);
     }
-    Real u1 = uniform();
-    while (u1 <= 1e-300) u1 = uniform();
-    const Real u2 = uniform();
-    const Real mag = std::sqrt(-2.0 * std::log(u1));
-    spare_ = mag * std::sin(kTwoPi * u2);
-    have_spare_ = true;
-    return mag * std::cos(kTwoPi * u2);
   }
 
   /// Circularly-symmetric complex Gaussian with total variance `variance`
@@ -91,9 +117,17 @@ class Xoshiro256 {
     return (v << k) | (v >> (64 - k));
   }
 
+  static Real with_sign(Real x, std::uint64_t sign) {
+    return std::bit_cast<Real>(std::bit_cast<std::uint64_t>(x) ^ sign);
+  }
+
+  // The rare slow paths, out of line (rng.cpp): a draw beyond r from the
+  // bottom layer's tail, and the density test for a point in layer i's
+  // wedge. Only these call libm.
+  Real gaussian_tail();
+  bool wedge_accepts(std::size_t layer, Real x);
+
   std::uint64_t state_[4]{};
-  bool have_spare_ = false;
-  Real spare_ = 0.0;
 };
 
 }  // namespace itb::dsp

@@ -4,7 +4,9 @@
 // with impairments), and receiver sync behaviour under offsets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "channel/awgn.h"
 #include "channel/impairments.h"
@@ -122,6 +124,69 @@ TEST(ImpairmentChain, MultipathPreservesMeanPowerAcrossDraws) {
     acc += dsp::mean_power(chain.apply_channel(x, 99, static_cast<std::uint64_t>(d)));
   }
   EXPECT_NEAR(acc / kDraws / p_in, 1.0, 0.15);
+}
+
+// The carrier stage advances a phasor by recurrence and re-anchors it every
+// 64 samples; these pin it to the exact phase it stands for. The initial
+// phase is the first uniform of the stage-2 substream.
+
+/// Largest |y[i] - x[i] e^{j phase(i)}| and largest ||y[i]|/|x[i]| - 1|.
+template <typename Phase>
+std::pair<Real, Real> phasor_error(const CVec& x, const CVec& y, Phase phase) {
+  Real err = 0.0;
+  Real mag = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const Real ph = phase(i);
+    const Complex ref = x[i] * Complex{std::cos(ph), std::sin(ph)};
+    err = std::max(err, std::abs(y[i] - ref));
+    mag = std::max(mag, std::abs(std::abs(y[i]) / std::abs(x[i]) - 1.0));
+  }
+  return {err, mag};
+}
+
+TEST(ImpairmentChain, CfoRecurrenceTracksExactPhasor) {
+  channel::ImpairmentConfig cfg;
+  cfg.sample_rate_hz = 11e6;
+  cfg.cfo_ppm = 40.0;
+  const channel::ImpairmentChain chain(cfg);
+  const CVec x = test_tone(100000);
+  const CVec y = chain.apply_channel(x, 3, 9);
+  ASSERT_EQ(y.size(), x.size());
+  dsp::Xoshiro256 rng(channel::impairment_substream(3, 9, 2));
+  const Real phi0 = rng.uniform(0.0, dsp::kTwoPi);
+  const Real step = dsp::kTwoPi * chain.cfo_hz() / cfg.sample_rate_hz;
+  const auto [err, mag] = phasor_error(
+      x, y, [&](std::size_t i) { return phi0 + static_cast<Real>(i) * step; });
+  EXPECT_LT(err, 1e-12);
+  EXPECT_LT(mag, 1e-13);
+}
+
+TEST(ImpairmentChain, PhaseNoiseRecurrenceTracksWienerWalk) {
+  // Same check with phase noise on: the phase is phi0 + i*step + theta_i,
+  // theta_i the sum of the first i increments sigma*g. The chain and this
+  // reference each round that three-term sum once per anchor or sample; at
+  // up to ~5.6e3 rad (ulp 9.1e-13) they may differ by three half-ulps
+  // each, hence 3e-12 here against the CFO-only test's 1e-12.
+  channel::ImpairmentConfig cfg;
+  cfg.sample_rate_hz = 11e6;
+  cfg.cfo_ppm = 40.0;
+  cfg.phase_noise_linewidth_hz = 200.0;
+  const channel::ImpairmentChain chain(cfg);
+  const CVec x = test_tone(100000);
+  const CVec y = chain.apply_channel(x, 3, 9);
+  ASSERT_EQ(y.size(), x.size());
+  dsp::Xoshiro256 rng(channel::impairment_substream(3, 9, 2));
+  const Real phi0 = rng.uniform(0.0, dsp::kTwoPi);
+  const Real step = dsp::kTwoPi * chain.cfo_hz() / cfg.sample_rate_hz;
+  const Real sigma = std::sqrt(dsp::kTwoPi * 200.0 / cfg.sample_rate_hz);
+  Real theta = 0.0;
+  const auto [err, mag] = phasor_error(x, y, [&](std::size_t i) {
+    const Real ph = phi0 + static_cast<Real>(i) * step + theta;
+    theta += sigma * rng.gaussian();
+    return ph;
+  });
+  EXPECT_LT(err, 3e-12);
+  EXPECT_LT(mag, 1e-13);
 }
 
 TEST(ImpairmentChain, SroShiftsSamplingInstants) {

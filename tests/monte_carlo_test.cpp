@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -92,6 +93,48 @@ TEST(MonteCarlo, RepeatedRunsAreDeterministic) {
   const auto b = per_vs_snr(cfg, grid);
   ASSERT_EQ(a.size(), 1u);
   EXPECT_EQ(a[0].per_monte_carlo, b[0].per_monte_carlo);
+}
+
+TEST(MonteCarlo, ZeroTrialsPerPointThrows) {
+  // 0 failures over 0 trials has no PER; the sweep used to return NaN.
+  MonteCarloConfig cfg;
+  cfg.trials_per_point = 0;
+  EXPECT_THROW(per_vs_snr(cfg, {4.0}), std::invalid_argument);
+}
+
+TEST(MonteCarlo, ImplantWaterfallMatchesReferenceGenerator) {
+  // The implant sweep's PERs with the Box-Muller generator and a cos/sin
+  // per sample in the CFO/phase-noise stage, measured with this config:
+  // 400 trials per point, seed 2024. Swapping in the ziggurat and the
+  // phasor recurrence changes every draw but must not move the physics,
+  // so each PER has to land in the 99.9% Wilson interval around them.
+  struct Reference {
+    double snr_db;
+    double per;
+  };
+  constexpr Reference kReference[] = {{4.0, 0.95}, {6.0, 0.40}, {8.0, 0.0525}};
+  constexpr double kTrials = 400.0;
+  constexpr double kZ = 3.2905;  // two-sided 99.9%
+
+  MonteCarloConfig cfg;
+  cfg.rate = itb::wifi::DsssRate::k11Mbps;
+  cfg.psdu_bytes = 31;
+  cfg.trials_per_point = 400;
+  cfg.seed = 2024;
+  cfg.impairments = itb::channel::implant_tissue_preset(11e6);
+  std::vector<double> grid;
+  for (const Reference& r : kReference) grid.push_back(r.snr_db);
+  const auto pts = per_vs_snr(cfg, grid);
+  ASSERT_EQ(pts.size(), grid.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const double p = kReference[i].per;
+    const double z2n = kZ * kZ / kTrials;
+    const double centre = (p + z2n / 2.0) / (1.0 + z2n);
+    const double half = kZ / (1.0 + z2n) *
+                        std::sqrt(p * (1.0 - p) / kTrials + z2n / (4.0 * kTrials));
+    EXPECT_GE(pts[i].per_monte_carlo, centre - half) << pts[i].snr_db << " dB";
+    EXPECT_LE(pts[i].per_monte_carlo, centre + half) << pts[i].snr_db << " dB";
+  }
 }
 
 TEST(MonteCarlo, SeedChangesTheDraw) {
