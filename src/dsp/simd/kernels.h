@@ -1,23 +1,19 @@
 // Runtime-dispatched PHY kernels with dispatch-invariant numerics.
 //
 // Every kernel is defined by a *numeric specification*: a fixed sequence of
-// IEEE-754 double operations per output element. The scalar reference
-// (kernels_scalar.cpp) implements the specification with plain loops; the
-// AVX2 table implements the same specification with vector instructions
-// whose per-element semantics are identical. Concretely:
-//
-//  * No FMA and no reassociation: the AVX2 TU is compiled with the bare
-//    ISA flag (-mavx2, never -mfma) and uses explicit mul/add intrinsics, so
-//    every multiply and add rounds exactly like its scalar counterpart.
-//  * Vectorize ACROSS outputs: each output's accumulation still walks
-//    k = 0,1,2,... sequentially in one accumulator, exactly like the scalar
-//    loop, so results are bit-identical.
+// IEEE-754 double operations per output element, documented below. Each
+// kernel is written once, as plain loops, in kernels_spec.h; the scalar and
+// AVX2 tables are that source compiled twice (kernels_scalar.cpp, and
+// kernels_avx2.cpp with -mavx2). They agree bit for bit because both TUs
+// compile with -ffp-contract=off and without -ffast-math (no FMA, no
+// reassociation), and because the loops vectorise ACROSS outputs: each
+// output still walks k = 0,1,2,... in one accumulator starting at 0.0.
 //
 // The table holds only kernels that a benchmark workload calls. Adding a
-// kernel: write the spec here, implement it in kernels_scalar.cpp (the spec
-// IS the scalar code), add the AVX2 version, add it to the parity fuzz
-// suite (tests/simd_parity_test.cpp). Raw intrinsics are only permitted
-// under src/dsp/simd/ (enforced by detlint's simd-intrinsics rule).
+// kernel: document its operation order here, write it once in
+// kernels_spec.h, and add a per-output reference for it to the parity suite
+// (tests/simd_parity_test.cpp), which memcmps both tables against it. Raw
+// intrinsics are banned everywhere (detlint's simd-intrinsics rule).
 #pragma once
 
 #include <cstddef>
@@ -63,7 +59,7 @@ struct KernelTable {
                            std::size_t n);
 };
 
-/// The scalar reference table (always available; the specification).
+/// The scalar table (always available).
 const KernelTable* scalar_kernels();
 
 /// The AVX2 table; nullptr when its TU was compiled without AVX2.

@@ -29,8 +29,8 @@ CVec despread(std::span<const Complex> chips) {
   }();
   const std::size_t n = chips.size() / kBarker.size();
   CVec out(n);
-  // Vectorized across symbols; each symbol's chip accumulation stays
-  // sequential (k ascending), so results match the scalar loop bit-for-bit.
+  // Each symbol's chip accumulation is sequential (k ascending), so every
+  // dispatch level gives the same bits.
   dsp::simd::active_kernels().despread_real(
       chips.data(), kBarkerReal.data(), kBarker.size(), n,
       static_cast<Real>(kBarker.size()), out.data());

@@ -1,8 +1,10 @@
 #include "wifi/convolutional.h"
 
 #include <array>
-#include <cassert>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace itb::wifi {
@@ -66,27 +68,25 @@ Bits puncture(const Bits& coded, CodeRate rate) {
 
 Bits depuncture_with_erasures(const Bits& punctured, CodeRate rate) {
   if (rate == CodeRate::kRate1_2) return punctured;
+  // One puncturing period of the rate-1/2 stream; true marks a dropped bit.
+  // 2/3: (A0 B0 A1 B1) drops B1; 3/4: (A0 B0 A1 B1 A2 B2) drops B1 A2.
+  static constexpr bool kDrop23[] = {false, false, false, true};
+  static constexpr bool kDrop34[] = {false, false, false, true, true, false};
+  const std::span<const bool> drop =
+      rate == CodeRate::kRate2_3 ? std::span<const bool>(kDrop23)
+                                 : std::span<const bool>(kDrop34);
   Bits out;
+  // Erasures are emitted as they are reached, so a period whose kept bits
+  // all arrived is emitted in full, trailing erasures included; the stream
+  // stops only at a kept position with no bit left.
   std::size_t idx = 0;
-  if (rate == CodeRate::kRate2_3) {
-    while (idx < punctured.size()) {
-      for (std::size_t m = 0; m < 4 && idx < punctured.size(); ++m) {
-        if (m == 3) {
-          out.push_back(2);
-        } else {
-          out.push_back(punctured[idx++]);
-        }
-      }
-    }
-  } else {
-    while (idx < punctured.size()) {
-      for (std::size_t m = 0; m < 6 && idx < punctured.size(); ++m) {
-        if (m == 3 || m == 4) {
-          out.push_back(2);
-        } else {
-          out.push_back(punctured[idx++]);
-        }
-      }
+  for (std::size_t m = 0;; m = (m + 1) % drop.size()) {
+    if (drop[m]) {
+      out.push_back(2);
+    } else if (idx < punctured.size()) {
+      out.push_back(punctured[idx++]);
+    } else {
+      break;
     }
   }
   return out;
@@ -94,7 +94,12 @@ Bits depuncture_with_erasures(const Bits& punctured, CodeRate rate) {
 
 Bits viterbi_decode(const Bits& coded, std::size_t data_len,
                     std::uint8_t initial_state) {
-  assert(coded.size() >= data_len * 2);
+  if (coded.size() < data_len * 2) {
+    throw std::invalid_argument("viterbi_decode: " +
+                                std::to_string(coded.size()) +
+                                " coded bits cannot carry " +
+                                std::to_string(data_len) + " data bits");
+  }
   constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 2;
 
   std::vector<unsigned> metric(kStates, kInf);

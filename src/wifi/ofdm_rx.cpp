@@ -192,8 +192,10 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
       start += kSymbolSamples;
     }
 
+    // A LENGTH that does not fill whole symbols (a corrupted SIGNAL that
+    // passed parity) decodes only the bits the received symbols carry.
     const itb::phy::Bits scrambled =
-        decode_punctured(punctured, p.code_rate, data_bits);
+        decode_punctured(punctured, p.code_rate, num_symbols * p.n_dbps);
 
     // --- 5. Descramble: recover the seed from the SERVICE field ------------
     // The first 7 data bits were zeros pre-scrambling, so the first 7

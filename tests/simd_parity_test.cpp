@@ -1,19 +1,22 @@
-// SIMD-vs-scalar parity suite for the dispatch-invariant PHY kernels
-// (dsp/simd). Every kernel in the table is driven over odd lengths,
-// misaligned spans and tails, and its vector result is compared
-// BIT-FOR-BIT (memcmp) against the scalar reference — the determinism
-// contract is exact equality, not tolerance. Integration-level parity runs
-// whole receive-chain pieces with SIMD toggled at runtime, and the
-// Monte-Carlo digest check pins bit-identical sweeps (2 Mbps ward preset and
-// 11 Mbps CCK implant preset) across 1/2/8 threads with and without SIMD.
+// Parity suite for the dispatch-invariant PHY kernels (dsp/simd). Both
+// kernel tables are compiled from one source (kernels_spec.h), so comparing
+// them with each other cannot catch a loop reshape that changes bits.
+// Instead every table is checked BIT-FOR-BIT (memcmp) against the
+// independent per-output reference below (namespace ref), over odd lengths,
+// misaligned spans, tails and tap counts: the contract is exact equality,
+// not tolerance. Integration-level parity runs whole receive-chain pieces
+// with SIMD toggled at runtime, and the Monte-Carlo digest check pins
+// bit-identical sweeps (2 Mbps ward preset and 11 Mbps CCK implant preset)
+// across 1/2/8 threads with and without SIMD.
 //
-// On hosts without a compiled/detected vector backend the dispatch table is
-// the scalar table and these tests degenerate to self-comparison — still
-// useful as a harness smoke test, and the CI forced-scalar leg
-// (ITB_DISABLE_SIMD=1) exercises that path deliberately.
+// avx2_kernels() is checked whenever it was compiled in, whatever the
+// runtime dispatch level; the CI forced-scalar leg (ITB_DISABLE_SIMD=1)
+// additionally runs the integration tests on the scalar table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -31,6 +34,98 @@
 
 namespace itb::dsp::simd {
 namespace {
+
+// The kernels as plain per-output loops: the numeric specification of
+// kernels.h, kept independent of the library's loop shapes.
+namespace ref {
+
+void correlate_real(const Complex* x, std::size_t nx, const Real* p,
+                    std::size_t np, Complex* out) {
+  for (std::size_t i = 0; i + np <= nx; ++i) {
+    Real ar = 0.0;
+    Real ai = 0.0;
+    for (std::size_t k = 0; k < np; ++k) {
+      ar += x[i + k].real() * p[k];
+      ai += x[i + k].imag() * p[k];
+    }
+    out[i] = Complex(ar, ai);
+  }
+}
+
+void despread_real(const Complex* chips, const Real* p, std::size_t np,
+                   std::size_t nsym, Real divisor, Complex* out) {
+  for (std::size_t s = 0; s < nsym; ++s) {
+    Real ar = 0.0;
+    Real ai = 0.0;
+    for (std::size_t k = 0; k < np; ++k) {
+      ar += chips[s * np + k].real() * p[k];
+      ai += chips[s * np + k].imag() * p[k];
+    }
+    out[s] = Complex(ar / divisor, ai / divisor);
+  }
+}
+
+void accum_scaled_conj(Complex* acc, const Complex* p, Complex s,
+                       std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const Real pr = p[j].real();
+    const Real npi = -p[j].imag();
+    acc[j] = Complex(acc[j].real() + (s.real() * pr - s.imag() * npi),
+                     acc[j].imag() + (s.real() * npi + s.imag() * pr));
+  }
+}
+
+void fir_causal_complex(const Complex* x, std::size_t n, const Complex* taps,
+                        std::size_t nt, Complex* y) {
+  for (std::size_t i = 0; i < n; ++i) {
+    Real ar = 0.0;
+    Real ai = 0.0;
+    for (std::size_t k = 0; k < nt && k <= i; ++k) {
+      const Real tr = taps[k].real();
+      const Real ti = taps[k].imag();
+      const Real xr = x[i - k].real();
+      const Real xi = x[i - k].imag();
+      ar += tr * xr - ti * xi;
+      ai += tr * xi + ti * xr;
+    }
+    y[i] = Complex(ar, ai);
+  }
+}
+
+void iq_imbalance(Complex* v, Complex alpha, Complex beta, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Real vr = v[i].real();
+    const Real vi = v[i].imag();
+    const Real t1r = alpha.real() * vr - alpha.imag() * vi;
+    const Real t1i = alpha.real() * vi + alpha.imag() * vr;
+    const Real t2r = beta.real() * vr - beta.imag() * -vi;
+    const Real t2i = beta.real() * -vi + beta.imag() * vr;
+    v[i] = Complex(t1r + t2r, t1i + t2i);
+  }
+}
+
+void quantize_midrise(Complex* x, Real full_scale, Real step, std::size_t n) {
+  Real* d = reinterpret_cast<Real*>(x);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    const Real c = std::min(std::max(d[i], -full_scale), full_scale - step);
+    d[i] = (std::floor(c / step) + 0.5) * step;
+  }
+}
+
+}  // namespace ref
+
+/// The tables under test: the scalar table, and the AVX2 table whenever it
+/// was compiled in and this CPU can run it, even if ITB_DISABLE_SIMD keeps
+/// dispatch on scalar.
+std::vector<const KernelTable*> tables_under_test() {
+  std::vector<const KernelTable*> tables = {scalar_kernels()};
+#if defined(__x86_64__) || defined(_M_X64)
+  if (avx2_kernels() != nullptr && __builtin_cpu_supports("avx2")) {
+    tables.push_back(avx2_kernels());
+  }
+#endif
+  return tables;
+}
 
 /// Scoped runtime SIMD toggle; restores the default (enabled) on exit.
 class SimdGuard {
@@ -76,20 +171,27 @@ const std::size_t kLengths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,
                                 11, 13, 15, 16, 17, 23, 31, 32, 33,
                                 63, 64, 65, 67, 128, 129};
 
-/// Runs `op` twice on misaligned copies of the same data — once with the
-/// dispatch table, once with the scalar reference — and bit-compares.
-/// `op(table, data_span)` mutates data_span in place.
+/// Runs `op` on misaligned copies of the same data — once per table under
+/// test, once with the reference — and bit-compares. `op(kernel, data_span)`
+/// mutates data_span in place; `kernel` is a member pointer into the table,
+/// or nullptr for the reference.
 template <typename Op>
 void check_inplace(std::size_t n, std::uint64_t seed, const Op& op) {
   // One leading element makes .data()+1 16-byte (not 32-byte) aligned: every
-  // AVX2 kernel must go through unaligned loads.
-  CVec base = random_cvec(n + 1, seed);
-  CVec a = base;
-  CVec b = base;
-  op(active_kernels(), std::span<Complex>(a).subspan(1));
-  op(*scalar_kernels(), std::span<Complex>(b).subspan(1));
-  EXPECT_TRUE(BitsEqual(a, b)) << "n=" << n;
+  // vectorised kernel must go through unaligned loads.
+  const CVec base = random_cvec(n + 1, seed);
+  CVec want = base;
+  op(nullptr, std::span<Complex>(want).subspan(1));
+  for (const KernelTable* table : tables_under_test()) {
+    CVec got = base;
+    op(table, std::span<Complex>(got).subspan(1));
+    EXPECT_TRUE(BitsEqual(got, want)) << "n=" << n;
+  }
 }
+
+/// Output buffer prefilled with a value no kernel produces here, so a kernel
+/// that reads its output before writing it shows up as a divergence.
+CVec poisoned(std::size_t n) { return CVec(n, Complex{7.0, -7.0}); }
 
 TEST(SimdParity, CorrelateReal) {
   for (std::size_t nx : kLengths) {
@@ -98,12 +200,13 @@ TEST(SimdParity, CorrelateReal) {
       const CVec x = random_cvec(nx + 1, 6000 + nx * 7 + np);
       const RVec pr = random_rvec(np, 6500 + np);
       const std::size_t nout = nx - np + 1;
-      CVec outa(nout), outb(nout);
-      active_kernels().correlate_real(x.data() + 1, nx, pr.data(), np,
-                                      outa.data());
-      scalar_kernels()->correlate_real(x.data() + 1, nx, pr.data(), np,
-                                       outb.data());
-      EXPECT_TRUE(BitsEqual(outa, outb)) << "nx=" << nx << " np=" << np;
+      CVec want = poisoned(nout);
+      ref::correlate_real(x.data() + 1, nx, pr.data(), np, want.data());
+      for (const KernelTable* table : tables_under_test()) {
+        CVec got = poisoned(nout);
+        table->correlate_real(x.data() + 1, nx, pr.data(), np, got.data());
+        EXPECT_TRUE(BitsEqual(got, want)) << "nx=" << nx << " np=" << np;
+      }
     }
   }
 }
@@ -115,12 +218,16 @@ TEST(SimdParity, DespreadReal) {
           std::size_t{9}}) {
       const CVec chips = random_cvec(np * nsym + 1, 7000 + np * 31 + nsym);
       const RVec p = random_rvec(np, 7500 + np);
-      CVec outa(nsym), outb(nsym);
-      active_kernels().despread_real(chips.data() + 1, p.data(), np, nsym,
-                                     static_cast<Real>(np), outa.data());
-      scalar_kernels()->despread_real(chips.data() + 1, p.data(), np, nsym,
-                                      static_cast<Real>(np), outb.data());
-      EXPECT_TRUE(BitsEqual(outa, outb)) << "np=" << np << " nsym=" << nsym;
+      const Real div = static_cast<Real>(np);
+      CVec want = poisoned(nsym);
+      ref::despread_real(chips.data() + 1, p.data(), np, nsym, div,
+                         want.data());
+      for (const KernelTable* table : tables_under_test()) {
+        CVec got = poisoned(nsym);
+        table->despread_real(chips.data() + 1, p.data(), np, nsym, div,
+                             got.data());
+        EXPECT_TRUE(BitsEqual(got, want)) << "np=" << np << " nsym=" << nsym;
+      }
     }
   }
 }
@@ -129,8 +236,12 @@ TEST(SimdParity, AccumScaledConj) {
   for (std::size_t n : kLengths) {
     const CVec p = random_cvec(n + 1, 8000 + n);
     const Complex s = random_cvec(1, 8500 + n)[0];
-    check_inplace(n, 8600 + n, [&](const KernelTable& k, std::span<Complex> acc) {
-      k.accum_scaled_conj(acc.data(), p.data() + 1, s, acc.size());
+    check_inplace(n, 8600 + n, [&](const KernelTable* k, std::span<Complex> acc) {
+      if (k == nullptr) {
+        ref::accum_scaled_conj(acc.data(), p.data() + 1, s, acc.size());
+      } else {
+        k->accum_scaled_conj(acc.data(), p.data() + 1, s, acc.size());
+      }
     });
   }
 }
@@ -141,12 +252,14 @@ TEST(SimdParity, FirCausalComplex) {
                            std::size_t{9}}) {
       const CVec x = random_cvec(n + 1, 10000 + n * 3 + nt);
       const CVec taps = random_cvec(nt, 10500 + nt);
-      CVec ya(n, Complex{}), yb(n, Complex{});
-      active_kernels().fir_causal_complex(x.data() + 1, n, taps.data(), nt,
-                                          ya.data());
-      scalar_kernels()->fir_causal_complex(x.data() + 1, n, taps.data(), nt,
-                                           yb.data());
-      EXPECT_TRUE(BitsEqual(ya, yb)) << "n=" << n << " nt=" << nt;
+      CVec want = poisoned(n);
+      ref::fir_causal_complex(x.data() + 1, n, taps.data(), nt, want.data());
+      for (const KernelTable* table : tables_under_test()) {
+        CVec got = poisoned(n);
+        table->fir_causal_complex(x.data() + 1, n, taps.data(), nt,
+                                  got.data());
+        EXPECT_TRUE(BitsEqual(got, want)) << "n=" << n << " nt=" << nt;
+      }
     }
   }
 }
@@ -155,8 +268,12 @@ TEST(SimdParity, IqImbalance) {
   const Complex alpha{0.98, 0.02};
   const Complex beta{0.015, -0.01};
   for (std::size_t n : kLengths) {
-    check_inplace(n, 11000 + n, [&](const KernelTable& k, std::span<Complex> x) {
-      k.iq_imbalance(x.data(), alpha, beta, x.size());
+    check_inplace(n, 11000 + n, [&](const KernelTable* k, std::span<Complex> x) {
+      if (k == nullptr) {
+        ref::iq_imbalance(x.data(), alpha, beta, x.size());
+      } else {
+        k->iq_imbalance(x.data(), alpha, beta, x.size());
+      }
     });
   }
 }
@@ -164,9 +281,13 @@ TEST(SimdParity, IqImbalance) {
 TEST(SimdParity, QuantizeMidrise) {
   // Scale some samples far outside full_scale so both clamp branches run.
   for (std::size_t n : kLengths) {
-    check_inplace(n, 12000 + n, [&](const KernelTable& k, std::span<Complex> x) {
+    check_inplace(n, 12000 + n, [&](const KernelTable* k, std::span<Complex> x) {
       for (std::size_t i = 0; i < x.size(); i += 3) x[i] *= 10.0;
-      k.quantize_midrise(x.data(), 2.0, 2.0 / 64.0, x.size());
+      if (k == nullptr) {
+        ref::quantize_midrise(x.data(), 2.0, 2.0 / 64.0, x.size());
+      } else {
+        k->quantize_midrise(x.data(), 2.0, 2.0 / 64.0, x.size());
+      }
     });
   }
 }

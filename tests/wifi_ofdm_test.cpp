@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
 
 #include "backscatter/detector.h"
 #include "channel/awgn.h"
@@ -91,6 +92,41 @@ TEST(Convolutional, DepunctureInsertsErasures) {
   std::size_t erasures = 0;
   for (auto b : padded) erasures += (b == 2);
   EXPECT_EQ(erasures, padded.size() / 3);
+}
+
+TEST(Convolutional, DepunctureRate23KeepsFinalErasure) {
+  // The last period's dropped B1 must come back as an erasure, so the
+  // padded stream is exactly as long as the rate-1/2 stream it stands for.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{240}}) {
+    const Bits coded = convolutional_encode(random_bits(n, 25));
+    const Bits padded =
+        depuncture_with_erasures(puncture(coded, CodeRate::kRate2_3),
+                                 CodeRate::kRate2_3);
+    ASSERT_EQ(padded.size(), coded.size()) << "n=" << n;
+    EXPECT_EQ(padded.back(), 2) << "n=" << n;
+  }
+}
+
+TEST(Convolutional, DepunctureCoversPartialPeriods) {
+  // Data lengths whose coded stream ends mid-period, at both rates.
+  for (const CodeRate rate : {CodeRate::kRate2_3, CodeRate::kRate3_4}) {
+    for (std::size_t n = 1; n <= 7; ++n) {
+      const Bits data = random_bits(n, 26 + n);
+      const Bits punct = puncture(convolutional_encode(data), rate);
+      EXPECT_GE(depuncture_with_erasures(punct, rate).size(), 2 * n)
+          << "n=" << n;
+      EXPECT_EQ(decode_punctured(punct, rate, n).size(), n) << "n=" << n;
+    }
+  }
+}
+
+TEST(Convolutional, ViterbiRejectsShortInput) {
+  const Bits coded = convolutional_encode(random_bits(10, 27));
+  EXPECT_THROW(viterbi_decode(Bits(coded.begin(), coded.end() - 1), 10),
+               std::invalid_argument);
+  EXPECT_THROW(decode_punctured(Bits(14, 0), CodeRate::kRate2_3, 12),
+               std::invalid_argument);
+  EXPECT_NO_THROW(viterbi_decode(coded, 10));
 }
 
 TEST(Convolutional, CodeRateValues) {

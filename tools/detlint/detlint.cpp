@@ -232,7 +232,6 @@ struct Ctx {
   std::vector<Finding>* findings;
   bool in_bench = false;
   bool in_obs = false;
-  bool in_simd = false;
 
   void report(std::size_t tok_index, const std::string& rule,
               const std::string& message) {
@@ -740,12 +739,13 @@ void rule_parallel_capture(Ctx& ctx) {
 // Rule: simd-intrinsics
 // ---------------------------------------------------------------------------
 
-/// Raw vector intrinsics are confined to src/dsp/simd/: every kernel there
-/// is paired with a scalar reference and a bit-exactness parity test, which
-/// is what keeps SIMD results dispatch-invariant. An intrinsic anywhere else
-/// bypasses that discipline (and the forced-scalar CI leg cannot disable it).
+/// Raw vector intrinsics are banned everywhere. The PHY kernels are written
+/// once as plain loops (src/dsp/simd/kernels_spec.h) and the compiler
+/// vectorises them for the AVX2 table, so bit-identity across dispatch
+/// levels follows from IEEE semantics. A hand-written intrinsic would be a
+/// second body that only a parity test could keep in step, and outside the
+/// kernel table the forced-scalar CI leg could not disable it.
 void rule_simd_intrinsics(Ctx& ctx) {
-  if (ctx.in_simd) return;  // the sanctioned kernel directory
   const Tokens& t = *ctx.tokens;
   static const std::set<std::string> kIntrinHeaders = {
       "immintrin", "emmintrin", "xmmintrin", "pmmintrin", "tmmintrin",
@@ -783,9 +783,8 @@ void rule_simd_intrinsics(Ctx& ctx) {
     if (kIntrinHeaders.count(s)) {
       ctx.report(i, "simd-intrinsics",
                  "vector-intrinsics header <" + s +
-                     ".h> outside src/dsp/simd/; raw SIMD lives behind the "
-                     "kernel table so the scalar reference and parity tests "
-                     "stay authoritative");
+                     ".h>; write the loop once in dsp/simd/kernels_spec.h "
+                     "and let the compiler vectorise it");
       continue;
     }
     // x86: _mm_/_mm256_/_mm512_ calls and __m128/__m256/__m512 types.
@@ -793,8 +792,8 @@ void rule_simd_intrinsics(Ctx& ctx) {
         s.rfind("__m256", 0) == 0 || s.rfind("__m512", 0) == 0) {
       ctx.report(i, "simd-intrinsics",
                  "x86 intrinsic `" + s +
-                     "` outside src/dsp/simd/; add a kernel-table entry with "
-                     "a scalar reference instead");
+                     "`; add a plain-loop kernel-table entry in "
+                     "dsp/simd/kernels_spec.h instead");
       continue;
     }
     // NEON: v...q_<elem>( calls and <base><bits>x<lanes>_t vector types.
@@ -803,8 +802,8 @@ void rule_simd_intrinsics(Ctx& ctx) {
          is(t, i + 1, "("))) {
       ctx.report(i, "simd-intrinsics",
                  "NEON intrinsic `" + s +
-                     "` outside src/dsp/simd/; add a kernel-table entry with "
-                     "a scalar reference instead");
+                     "`; add a plain-loop kernel-table entry in "
+                     "dsp/simd/kernels_spec.h instead");
     }
   }
 }
@@ -816,10 +815,6 @@ bool path_in_bench(const std::string& path) {
 
 bool path_in_obs(const std::string& path) {
   return path.find("src/obs/") != std::string::npos;
-}
-
-bool path_in_simd(const std::string& path) {
-  return path.find("src/dsp/simd/") != std::string::npos;
 }
 
 }  // namespace
@@ -842,7 +837,6 @@ std::vector<Finding> lint_source(const std::string& path,
   ctx.findings = &findings;
   ctx.in_bench = path_in_bench(path);
   ctx.in_obs = path_in_obs(path);
-  ctx.in_simd = path_in_simd(path);
   rule_wall_clock(ctx);
   rule_rng_seed(ctx);
   rule_unordered_iter(ctx);

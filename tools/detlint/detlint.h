@@ -13,8 +13,8 @@
 //   parallel-capture unsynchronized by-reference mutation inside
 //                    core::parallel_for lambda bodies
 //   simd-intrinsics  raw vector intrinsics (x86 _mm*/__m*, NEON v*q_*)
-//                    outside src/dsp/simd/ — kernels must ship behind the
-//                    dispatch table with a scalar reference and parity test
+//                    anywhere — kernels are plain loops in
+//                    dsp/simd/kernels_spec.h that the compiler vectorises
 #pragma once
 
 #include <string>
