@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/arena.h"
+#include "dsp/mixer.h"
 #include "dsp/rng.h"
 #include "dsp/simd/kernels.h"
 #include "dsp/units.h"
@@ -48,59 +49,6 @@ void draw_taps(const MultipathConfig& mp, Real sample_rate_hz,
       taps[0] = Complex{los, 0.0} + scatter;
     } else {
       taps[i] = rng.complex_gaussian(profile[i]);
-    }
-  }
-}
-
-/// Multiplies y[i] by e^{j(phi0 + i*step + theta_i)}, where theta is the
-/// Wiener phase-noise walk: theta_0 = 0 and, after each sample, theta grows
-/// by pn_sigma * g with g one draw from `rng` (no draws if pn_sigma == 0).
-///
-/// The phasor advances by a recurrence instead of a cos/sin per sample:
-/// rot *= e^{j*step} * e^{j*pn_sigma*g}, with the small-angle factor from a
-/// fixed Taylor polynomial (relative error < 3e-14 for |pn_sigma*g| <= 0.2).
-/// Every kAnchor samples rot is re-anchored to the exact phasor of the
-/// summed phase, which renormalises |rot| and stops rounding drift, so the
-/// only libm calls are two per kAnchor samples. The complex products are
-/// spelled out in real arithmetic (std::complex's operator* calls
-/// __muldc3 for its NaN/inf recovery).
-void rotate_carrier(std::span<Complex> y, Real phi0, Real step, Real pn_sigma,
-                    itb::dsp::Xoshiro256& rng) {
-  constexpr std::size_t kAnchor = 64;
-  const Real wr = std::cos(step);
-  const Real wi = std::sin(step);
-  Real theta = 0.0;
-  for (std::size_t base = 0; base < y.size(); base += kAnchor) {
-    const Real phase = phi0 + static_cast<Real>(base) * step + theta;
-    Real rr = std::cos(phase);
-    Real ri = std::sin(phase);
-    const std::size_t end = std::min(y.size(), base + kAnchor);
-    for (std::size_t i = base; i < end; ++i) {
-      const Real yr = y[i].real();
-      const Real yi = y[i].imag();
-      y[i] = {yr * rr - yi * ri, yr * ri + yi * rr};
-      // The per-sample factor q = e^{j*step} * e^{j*d} is formed off the
-      // rot dependency chain, which then carries one complex multiply.
-      Real qr = wr;
-      Real qi = wi;
-      if (pn_sigma > 0.0) {
-        const Real d = pn_sigma * rng.gaussian();
-        theta += d;
-        const Real d2 = d * d;
-        const Real c =
-            1.0 + d2 * (-1.0 / 2.0 +
-                        d2 * (1.0 / 24.0 +
-                              d2 * (-1.0 / 720.0 + d2 * (1.0 / 40320.0))));
-        const Real s =
-            d * (1.0 + d2 * (-1.0 / 6.0 +
-                             d2 * (1.0 / 120.0 +
-                                   d2 * (-1.0 / 5040.0 + d2 / 362880.0))));
-        qr = wr * c - wi * s;
-        qi = wr * s + wi * c;
-      }
-      const Real nr = rr * qr - ri * qi;
-      ri = rr * qi + ri * qr;
-      rr = nr;
     }
   }
 }
@@ -155,7 +103,7 @@ void ImpairmentChain::apply_channel_inplace(CVec& y, std::uint64_t seed,
         has_pn ? std::sqrt(itb::dsp::kTwoPi * cfg_.phase_noise_linewidth_hz /
                            cfg_.sample_rate_hz)
                : 0.0;
-    rotate_carrier(y, phi0, step, pn_sigma, rng);
+    itb::dsp::rotate_carrier(y, phi0, step, pn_sigma, &rng);
   }
 
   // --- 3. sampling-rate offset --------------------------------------------

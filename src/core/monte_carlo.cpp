@@ -23,6 +23,19 @@ std::uint64_t trial_seed(std::uint64_t sweep_seed, std::uint64_t point_index,
   return splitmix64(sweep_seed ^ splitmix64((point_index << 32) | trial_index));
 }
 
+namespace {
+
+/// A trial's outcome: decoded, or the first receive stage that lost it
+/// (PerPoint's no_sync / header_fail / payload_fail).
+enum class TrialStage : std::uint8_t {
+  kDecoded,
+  kNoSync,
+  kHeaderFail,
+  kPayloadFail,
+};
+
+}  // namespace
+
 std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
                                  const std::vector<double>& snr_grid_db) {
   // A point with no trials has no PER (0/0), so refuse the config.
@@ -36,9 +49,9 @@ std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
 
   const std::size_t trials = cfg.trials_per_point;
   const std::size_t total = snr_grid_db.size() * trials;
-  // One slot per (point, trial); workers write disjoint slots, so the
-  // aggregation below is independent of scheduling.
-  std::vector<std::uint8_t> failed(total, 0);
+  // One stage code per (point, trial); workers write disjoint slots, so
+  // the aggregation below is independent of scheduling.
+  std::vector<TrialStage> stage(total, TrialStage::kDecoded);
 
   std::optional<itb::channel::ImpairmentChain> chain;
   if (cfg.impairments) chain.emplace(*cfg.impairments);
@@ -66,21 +79,25 @@ std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
     itb::channel::add_noise_snr_inplace(wave, snr_grid_db[point], rng);
     if (chain) chain->apply_frontend_inplace(wave);
     const auto result = rx.receive(wave);
-    const bool ok =
-        result.has_value() && result->header_ok && result->psdu == psdu;
-    failed[idx] = ok ? 0 : 1;
+    stage[idx] = !result.has_value()  ? TrialStage::kNoSync
+                 : !result->header_ok ? TrialStage::kHeaderFail
+                 : result->psdu != psdu ? TrialStage::kPayloadFail
+                                        : TrialStage::kDecoded;
   });
 
   std::vector<PerPoint> out;
   out.reserve(snr_grid_db.size());
   for (std::size_t point = 0; point < snr_grid_db.size(); ++point) {
-    std::size_t failures = 0;
-    for (std::size_t t = 0; t < trials; ++t) failures += failed[point * trials + t];
+    std::size_t count[4] = {0, 0, 0, 0};
+    for (std::size_t t = 0; t < trials; ++t) {
+      ++count[static_cast<std::size_t>(stage[point * trials + t])];
+    }
+    const std::size_t failures = trials - count[0];
     out.push_back({snr_grid_db[point],
                    static_cast<double>(failures) / static_cast<double>(trials),
                    itb::channel::per_80211b(cfg.rate, snr_grid_db[point],
                                             cfg.psdu_bytes),
-                   trials});
+                   trials, count[1], count[2], count[3]});
   }
   return out;
 }

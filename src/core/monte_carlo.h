@@ -23,6 +23,11 @@ struct PerPoint {
   double per_monte_carlo;
   double per_closed_form;
   std::size_t trials;
+  /// Failures by the first receive stage that lost the frame; they sum to
+  /// per_monte_carlo * trials.
+  std::size_t no_sync = 0;       ///< no chip lock or SFD, or header cut off
+  std::size_t header_fail = 0;   ///< PLCP header failed its CRC or rate
+  std::size_t payload_fail = 0;  ///< header ok, PSDU missing or wrong
 };
 
 struct MonteCarloConfig {

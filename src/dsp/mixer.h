@@ -7,6 +7,8 @@
 
 namespace itb::dsp {
 
+class Xoshiro256;
+
 /// Complex exponential generator with phase continuity across calls.
 /// Models a local oscillator at `freq_hz` sampled at `sample_rate_hz`.
 class Nco {
@@ -46,6 +48,20 @@ class Nco {
 /// Returns x multiplied by e^{j 2 pi f t}: shifts the spectrum up by freq_hz.
 CVec frequency_shift(std::span<const Complex> x, Real freq_hz, Real sample_rate_hz,
                      Real initial_phase_rad = 0.0);
+
+/// Multiplies y[i] by e^{j(phi0 + i*step + theta_i)}, where theta is an
+/// optional Wiener phase-noise walk: theta_0 = 0 and, after each sample,
+/// theta grows by pn_sigma * g with g one Gaussian draw from `*rng` (no
+/// draws, and rng may be null, when pn_sigma == 0).
+///
+/// The phasor advances by a recurrence instead of a cos/sin per sample:
+/// rot *= e^{j*step} * e^{j*pn_sigma*g}, with the small-angle factor from a
+/// fixed Taylor polynomial (relative error < 3e-14 for |pn_sigma*g| <= 0.2).
+/// Every 64 samples rot is re-anchored to the exact phasor of the summed
+/// phase, which renormalises |rot| and stops rounding drift, so the only
+/// libm calls are one sincos for e^{j*step} and one per 64 samples.
+void rotate_carrier(std::span<Complex> y, Real phi0, Real step,
+                    Real pn_sigma = 0.0, Xoshiro256* rng = nullptr);
 
 /// Generates a pure tone at freq_hz with the given amplitude.
 CVec tone(Real freq_hz, Real sample_rate_hz, std::size_t n, Real amplitude = 1.0,

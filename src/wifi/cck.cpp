@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "dsp/simd/kernels.h"
 #include "wifi/dpsk.h"
 
 namespace itb::wifi {
@@ -84,94 +83,105 @@ CVec CckModulator::modulate(const Bits& bits) {
 
 CckDemodulator::CckDemodulator(DsssRate rate) : rate_(rate) {
   assert(rate == DsssRate::k5_5Mbps || rate == DsssRate::k11Mbps);
-  bits_per_symbol_ = rate == DsssRate::k5_5Mbps ? 4 : 8;
+}
 
-  // Enumerate all (p2,p3,p4) candidates with p1 = 0.
-  const std::size_t data_bits = bits_per_symbol_ - 2;
-  const std::size_t n = 1u << data_bits;
-  CckModulator helper(rate);
-  for (std::size_t v = 0; v < n; ++v) {
-    Candidate c;
-    c.data_bits.resize(data_bits);
-    for (std::size_t b = 0; b < data_bits; ++b) c.data_bits[b] = (v >> b) & 1;
-    c.phases = helper.data_phases(c.data_bits);
-    c.base_codeword = cck_codeword(0.0, c.phases[0], c.phases[1], c.phases[2]);
-    candidates_.push_back(std::move(c));
-  }
-  for (std::size_t k = 0; k < kCckChipsPerSymbol; ++k) {
-    columns_[k].resize(candidates_.size());
-    for (std::size_t v = 0; v < candidates_.size(); ++v) {
-      columns_[k][v] = candidates_[v].base_codeword[k];
-    }
+namespace {
+
+/// z * e^{-j q pi/2}: multiplying by a conjugated quarter-turn phase only
+/// swaps and negates parts, so it is exact.
+Complex unturn(Complex z, unsigned q) {
+  switch (q & 3u) {
+    case 0:
+      return z;
+    case 1:
+      return {z.imag(), -z.real()};
+    case 2:
+      return -z;
+    default:
+      return {-z.imag(), z.real()};
   }
 }
 
-void CckDemodulator::reset(Real reference_phase_rad) {
-  phase_ref_ = reference_phase_rad;
-  symbol_index_ = 0;
+/// The four sums that depend on p2 alone, for a = e^{-j q2 pi/2}:
+/// (a*r0 + r1, a*r2 - r3, a*r4 + r5, r7 - a*r6).
+std::array<Complex, 4> p2_sums(std::span<const Complex, kCckChipsPerSymbol> r,
+                               unsigned q2) {
+  return {unturn(r[0], q2) + r[1], unturn(r[2], q2) - r[3],
+          unturn(r[4], q2) + r[5], r[7] - unturn(r[6], q2)};
+}
+
+}  // namespace
+
+std::size_t CckDemodulator::correlate(
+    std::span<const Complex, kCckChipsPerSymbol> r,
+    std::array<Complex, kMaxCandidates>& out) const {
+  // With a = e^{-j p2}, b = e^{-j p3}, c = e^{-j p4} the correlation with
+  // the base codeword factors as
+  //   c*(b*(a*r0 + r1) + (a*r2 - r3)) + (b*(a*r4 + r5) + (r7 - a*r6)),
+  // and every factor is a quarter turn, so the 64 candidates cost
+  // 4*4 + 16*2 + 64 = 112 complex adds.
+  if (rate_ == DsssRate::k11Mbps) {
+    // Dibit (d0, d1) is the quarter turn 2*d0 + d1 (cck_qpsk_phase), and
+    // d0 is the lower bit of its pair in the candidate index.
+    const auto bits_of = [](unsigned q) { return (q >> 1) | (q & 1u) << 1; };
+    for (unsigned q2 = 0; q2 < 4; ++q2) {
+      const std::array<Complex, 4> u = p2_sums(r, q2);
+      for (unsigned q3 = 0; q3 < 4; ++q3) {
+        const Complex v0 = unturn(u[0], q3) + u[1];
+        const Complex v1 = unturn(u[2], q3) + u[3];
+        for (unsigned q4 = 0; q4 < 4; ++q4) {
+          out[bits_of(q2) | bits_of(q3) << 2 | bits_of(q4) << 4] =
+              unturn(v0, q4) + v1;
+        }
+      }
+    }
+    return 64;
+  }
+  // 5.5 Mbps (16.4.6.5): p2 = d0*pi + pi/2, p3 = 0, p4 = d1*pi.
+  for (unsigned d0 = 0; d0 < 2; ++d0) {
+    const std::array<Complex, 4> u = p2_sums(r, 2 * d0 + 1);
+    for (unsigned d1 = 0; d1 < 2; ++d1) {
+      out[d0 | d1 << 1] = unturn(u[0] + u[1], 2 * d1) + (u[2] + u[3]);
+    }
+  }
+  return 4;
 }
 
 Bits CckDemodulator::demodulate(std::span<const Complex> chips,
-                                Real reference_phase_rad) {
-  reset(reference_phase_rad);
+                                Complex reference) const {
   assert(chips.size() % kCckChipsPerSymbol == 0);
+  const std::size_t symbols = chips.size() / kCckChipsPerSymbol;
+  const std::size_t data_bits = rate_ == DsssRate::k11Mbps ? 6 : 2;
   Bits out;
-  for (std::size_t s = 0; s * kCckChipsPerSymbol < chips.size(); ++s) {
-    const std::span<const Complex> block =
-        chips.subspan(s * kCckChipsPerSymbol, kCckChipsPerSymbol);
-
-    // Correlate against every base codeword; the strongest match gives the
-    // data phases, and its complex correlation carries e^{j p1}. The search
-    // runs chip-major so it vectorizes across the (up to 64) candidates;
-    // each candidate's correlation still accumulates chips in ascending
-    // order, so the result is bit-identical to the per-candidate loop.
-    const itb::dsp::simd::KernelTable& kern = itb::dsp::simd::active_kernels();
-    std::array<Complex, 64> acc{};
-    for (std::size_t k = 0; k < kCckChipsPerSymbol; ++k) {
-      kern.accum_scaled_conj(acc.data(), columns_[k].data(), block[k],
-                             candidates_.size());
-    }
-    const Candidate* best = nullptr;
-    Complex best_corr{0.0, 0.0};
+  out.reserve(symbols * (2 + data_bits));
+  Complex prev = reference;
+  std::array<Complex, kMaxCandidates> acc;
+  for (std::size_t s = 0; s < symbols; ++s) {
+    // The strongest base-codeword correlation gives the data phases, and
+    // its complex value carries e^{j p1}.
+    const std::size_t n = correlate(
+        chips.subspan(s * kCckChipsPerSymbol).first<kCckChipsPerSymbol>(), acc);
+    std::size_t best = 0;
     Real best_mag = -1.0;
-    for (std::size_t v = 0; v < candidates_.size(); ++v) {
+    for (std::size_t v = 0; v < n; ++v) {
       const Real mag = std::norm(acc[v]);
       if (mag > best_mag) {
         best_mag = mag;
-        best = &candidates_[v];
-        best_corr = acc[v];
+        best = v;
       }
     }
-    assert(best != nullptr);
 
-    // Differential recovery of p1: remove the odd-symbol pi, then quantize.
-    const Real p1 = std::arg(best_corr);
-    Real dphi = p1 - phase_ref_;
-    if (symbol_index_ % 2 == 1) dphi -= kPi;
-    const unsigned q = quantize_quarter(dphi);
-    // Inverse of dqpsk_phase_increment's mapping 00,01,11,10 -> 0..3.
-    switch (q) {
-      case 0:
-        out.push_back(0);
-        out.push_back(0);
-        break;
-      case 1:
-        out.push_back(0);
-        out.push_back(1);
-        break;
-      case 2:
-        out.push_back(1);
-        out.push_back(1);
-        break;
-      case 3:
-        out.push_back(1);
-        out.push_back(0);
-        break;
+    // p1 is DQPSK against the previous symbol's correlation, with an extra
+    // pi on odd symbols: negate the differential product to remove it.
+    Complex w = differential_product(acc[best], prev);
+    if (s % 2 == 1) w = -w;
+    const auto dibit = dqpsk_dibit(nearest_quarter(w));
+    out.push_back(dibit[0]);
+    out.push_back(dibit[1]);
+    for (std::size_t b = 0; b < data_bits; ++b) {
+      out.push_back(static_cast<std::uint8_t>((best >> b) & 1u));
     }
-    out.insert(out.end(), best->data_bits.begin(), best->data_bits.end());
-
-    phase_ref_ = p1;
-    ++symbol_index_;
+    prev = acc[best];
   }
   return out;
 }

@@ -59,34 +59,28 @@ class CckModulator {
 };
 
 /// CCK demodulator: nearest-codeword search over p2..p4 plus differential
-/// recovery of p1.
+/// recovery of p1. Stateless: every call starts from its `reference`.
 class CckDemodulator {
  public:
+  /// Most candidates a symbol can have (64 at 11 Mbps, 4 at 5.5 Mbps).
+  static constexpr std::size_t kMaxCandidates = 64;
+
   explicit CckDemodulator(DsssRate rate);
 
-  /// Demodulates chips (size multiple of 8) into bits. `reference_phase` is
-  /// the phase of the last preceding symbol (header tail).
-  Bits demodulate(std::span<const Complex> chips, Real reference_phase_rad = 0.0);
+  /// Demodulates chips (size multiple of 8) into bits. `reference` is the
+  /// last preceding symbol (the header tail); only its phase is used.
+  Bits demodulate(std::span<const Complex> chips,
+                  Complex reference = Complex{1.0, 0.0}) const;
 
-  void reset(Real reference_phase_rad = 0.0);
+  /// Correlations sum_k block[k] * conj(c_v[k]) of one 8-chip block with
+  /// every base codeword c_v (p1 = 0). Candidate v's bit b is its data bit
+  /// b (the bits after the p1 dibit). Writes and returns the candidate
+  /// count.
+  std::size_t correlate(std::span<const Complex, kCckChipsPerSymbol> block,
+                        std::array<Complex, kMaxCandidates>& out) const;
 
  private:
   DsssRate rate_;
-  std::size_t bits_per_symbol_;
-  Real phase_ref_ = 0.0;
-  std::size_t symbol_index_ = 0;
-  /// Candidate (p2,p3,p4) triples and their data bits for this rate.
-  struct Candidate {
-    std::array<Real, 3> phases;
-    Bits data_bits;
-    std::array<Complex, kCckChipsPerSymbol> base_codeword;  // with p1 = 0
-  };
-  std::vector<Candidate> candidates_;
-  /// Chip-major transpose of the candidate codewords: columns_[k][cand] is
-  /// chip k of candidate cand. Lets the codeword search vectorize across
-  /// candidates while each candidate still accumulates its chips in
-  /// ascending order (bit-identical to the per-candidate scalar loop).
-  std::array<CVec, kCckChipsPerSymbol> columns_;
 };
 
 }  // namespace itb::wifi

@@ -6,7 +6,6 @@
 namespace itb::wifi {
 
 using itb::dsp::kPi;
-using itb::dsp::kTwoPi;
 
 Real dbpsk_phase_increment(std::uint8_t bit) { return bit ? kPi : 0.0; }
 
@@ -44,19 +43,14 @@ CVec dqpsk_encode(const Bits& bits, Real initial_phase_rad) {
   return out;
 }
 
-unsigned quantize_quarter(Real phase_rad) {
-  Real p = std::fmod(phase_rad, kTwoPi);
-  if (p < 0) p += kTwoPi;
-  return static_cast<unsigned>(std::lround(p / (kPi / 2.0))) % 4;
-}
-
 Bits dbpsk_decode(std::span<const Complex> symbols, Complex reference) {
   Bits out;
   out.reserve(symbols.size());
   Complex prev = reference;
   for (const Complex& s : symbols) {
-    const Real dphi = std::arg(s * std::conj(prev));
-    out.push_back(std::abs(dphi) > kPi / 2.0 ? 1 : 0);
+    // |arg(s * conj(prev))| > pi/2 exactly when the product's real part is
+    // negative.
+    out.push_back(differential_product(s, prev).real() < 0.0 ? 1 : 0);
     prev = s;
   }
   return out;
@@ -67,25 +61,9 @@ Bits dqpsk_decode(std::span<const Complex> symbols, Complex reference) {
   out.reserve(symbols.size() * 2);
   Complex prev = reference;
   for (const Complex& s : symbols) {
-    const Real dphi = std::arg(s * std::conj(prev));
-    switch (quantize_quarter(dphi)) {
-      case 0:
-        out.push_back(0);
-        out.push_back(0);
-        break;
-      case 1:
-        out.push_back(0);
-        out.push_back(1);
-        break;
-      case 2:
-        out.push_back(1);
-        out.push_back(1);
-        break;
-      case 3:
-        out.push_back(1);
-        out.push_back(0);
-        break;
-    }
+    const auto dibit = dqpsk_dibit(nearest_quarter(differential_product(s, prev)));
+    out.push_back(dibit[0]);
+    out.push_back(dibit[1]);
     prev = s;
   }
   return out;

@@ -2,6 +2,8 @@
 // interscatter tag, which maps the phase states onto its four impedances).
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <span>
 
@@ -47,11 +49,33 @@ CVec dbpsk_encode(const Bits& bits, Real initial_phase_rad = 0.0);
 CVec dqpsk_encode(const Bits& bits, Real initial_phase_rad = 0.0);
 
 /// Differential decode: recovers bits from received symbols given the symbol
-/// preceding the first one (reference).
+/// preceding the first one (reference). Decisions are sign tests on
+/// differential_product, so no phase is ever computed.
 Bits dbpsk_decode(std::span<const Complex> symbols, Complex reference);
 Bits dqpsk_decode(std::span<const Complex> symbols, Complex reference);
 
-/// Quantizes a phase to the nearest multiple of pi/2, returned as 0..3.
-unsigned quantize_quarter(Real phase_rad);
+/// s * conj(prev), spelled out in real arithmetic: its phase is the phase
+/// step from prev to s.
+inline Complex differential_product(Complex s, Complex prev) {
+  return {s.real() * prev.real() + s.imag() * prev.imag(),
+          s.imag() * prev.real() - s.real() * prev.imag()};
+}
+
+/// The multiple of pi/2 nearest to arg(w), as 0..3 counter-clockwise,
+/// decided from the signs and magnitudes of w's parts.
+inline unsigned nearest_quarter(Complex w) {
+  const Real re = w.real();
+  const Real im = w.imag();
+  if (std::abs(re) >= std::abs(im)) return re >= 0.0 ? 0u : 2u;
+  return im > 0.0 ? 1u : 3u;
+}
+
+/// The dibit (d0, d1) whose DQPSK increment is `quarter` * pi/2: the
+/// inverse of dqpsk_phase_increment.
+inline std::array<std::uint8_t, 2> dqpsk_dibit(unsigned quarter) {
+  constexpr std::array<std::uint8_t, 2> kDibits[4] = {
+      {0, 0}, {0, 1}, {1, 1}, {1, 0}};
+  return kDibits[quarter & 3u];
+}
 
 }  // namespace itb::wifi

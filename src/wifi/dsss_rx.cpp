@@ -6,7 +6,9 @@
 #include <cmath>
 
 #include "dsp/correlate.h"
+#include "dsp/mixer.h"
 #include "dsp/units.h"
+#include "obs/prof.h"
 #include "phycommon/crc.h"
 #include "phycommon/lfsr.h"
 #include "wifi/barker.h"
@@ -33,6 +35,8 @@ CVec barker_pattern() {
 }  // namespace
 
 std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
+  static const std::size_t kZone = obs::prof_zone("phy.dsss_rx");
+  const obs::ProfZone prof(kZone);
   // --- 1. Decimate to chip rate (mid-chip sampling) ------------------------
   const std::size_t spc = cfg_.samples_per_chip;
   CVec chips;
@@ -117,7 +121,8 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
   // Every differential product of neighbouring preamble symbols is (+-1) *
   // e^{j theta}, theta the per-symbol rotation: squaring removes the DBPSK
   // sign so arg(sum d^2)/2 estimates theta, then the whole chip stream is
-  // derotated at theta/11 per chip and decoding proceeds as if on-channel.
+  // derotated at theta/11 per chip (the carrier phasor recurrence, DESIGN.md)
+  // and decoding proceeds as if on-channel.
   Real cfo_est_hz = 0.0;
   if (cfg_.enable_cfo_correction) {
     const std::size_t est_symbols =
@@ -133,11 +138,7 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
       if (std::abs(acc) > 1e-12) {
         const Real theta = 0.5 * std::arg(acc);
         const Real phi_chip = theta / static_cast<Real>(kBarker.size());
-        Real phase = 0.0;
-        for (std::size_t i = 0; i < chips.size(); ++i) {
-          chips[i] *= Complex{std::cos(phase), std::sin(phase)};
-          phase -= phi_chip;
-        }
+        itb::dsp::rotate_carrier(chips, 0.0, -phi_chip);
         cfo_est_hz =
             phi_chip * cfg_.chip_rate_hz / itb::dsp::kTwoPi;
       }
@@ -236,11 +237,10 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
       if (data_chip_start + need_symbols * kCckChipsPerSymbol > chips.size()) {
         return out;
       }
-      CckDemodulator cck(hdr->rate);
-      psdu_scrambled = cck.demodulate(
+      psdu_scrambled = CckDemodulator(hdr->rate).demodulate(
           std::span<const Complex>(chips).subspan(
               data_chip_start, need_symbols * kCckChipsPerSymbol),
-          std::arg(header_tail_symbol));
+          header_tail_symbol);
       break;
     }
   }

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "dsp/resample.h"
+#include "obs/prof.h"
 #include "phycommon/lfsr.h"
 #include "wifi/barker.h"
 #include "wifi/cck.h"
@@ -36,6 +37,8 @@ Bits DsssTransmitter::scrambled_psdu_bits(const Bytes& psdu) const {
 }
 
 DsssFrame DsssTransmitter::modulate(const Bytes& psdu) const {
+  static const std::size_t kZone = obs::prof_zone("phy.dsss_tx");
+  const obs::ProfZone prof(kZone);
   DsssScrambler scrambler(kLongPreambleScramblerSeed);
 
   // --- PLCP preamble (SYNC + SFD) and header, all at 1 Mbps DBPSK ---------

@@ -177,9 +177,10 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
     // --- 4. DATA symbols ----------------------------------------------------
     const auto& p = ofdm_params(out.rate);
     // The SIGNAL LENGTH we transmit in this codebase is the DATA field byte
-    // count (see OfdmTransmitter); symbols follow directly.
+    // count (see OfdmTransmitter), floored: at 9 Mbps a symbol carries 4.5
+    // bytes, so rounding up recovers the symbol count the transmitter sent.
     const std::size_t data_bits = length * 8;
-    const std::size_t num_symbols = data_bits / p.n_dbps;
+    const std::size_t num_symbols = (data_bits + p.n_dbps - 1) / p.n_dbps;
     itb::phy::Bits punctured;
     punctured.reserve(num_symbols * p.n_cbps);
     std::size_t start = signal_start + kSymbolSamples;
@@ -199,7 +200,9 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
 
     // --- 5. Descramble: recover the seed from the SERVICE field ------------
     // The first 7 data bits were zeros pre-scrambling, so the first 7
-    // scrambled bits are the scrambler stream itself.
+    // scrambled bits are the scrambler stream itself. A SIGNAL with LENGTH 0
+    // announces no DATA symbols, so there is no seed to read.
+    if (scrambled.size() < 7) return out;
     const std::uint8_t seed = itb::phy::OfdmScrambler::seed_from_first_bits(
         std::span<const std::uint8_t>(scrambled).first(7));
     out.scrambler_seed = seed;

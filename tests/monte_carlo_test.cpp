@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "ble/channel_map.h"
 #include "core/monte_carlo.h"
 #include "core/parallel.h"
 
@@ -134,6 +135,69 @@ TEST(MonteCarlo, ImplantWaterfallMatchesReferenceGenerator) {
                         std::sqrt(p * (1.0 - p) / kTrials + z2n / (4.0 * kTrials));
     EXPECT_GE(pts[i].per_monte_carlo, centre - half) << pts[i].snr_db << " dB";
     EXPECT_LE(pts[i].per_monte_carlo, centre + half) << pts[i].snr_db << " dB";
+  }
+}
+
+TEST(MonteCarlo, ImplantFailureCountsPinned) {
+  // Failures per point of one 11 Mbps implant sweep, recorded from the
+  // receiver that derotated with a cos/sin per chip, correlated CCK against
+  // cos/sin-built codewords and decided with arg. The phasor, quarter-turn
+  // and sign-test receiver must make the same decisions.
+  MonteCarloConfig cfg;
+  cfg.rate = itb::wifi::DsssRate::k11Mbps;
+  cfg.psdu_bytes = 31;
+  cfg.trials_per_point = 25;
+  cfg.seed = 7;
+  cfg.num_threads = 2;
+  cfg.impairments = itb::channel::make_impairment_preset(
+      itb::channel::ImpairmentPreset::kImplantTissue, 11e6,
+      itb::ble::wifi_channel_hz(11));
+  std::vector<double> grid;
+  for (int snr = 2; snr <= 16; snr += 2) grid.push_back(snr);
+  const std::vector<std::size_t> kPinned{25, 24, 8, 1, 0, 0, 0, 0};
+
+  const auto pts = per_vs_snr(cfg, grid);
+  ASSERT_EQ(pts.size(), kPinned.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    EXPECT_EQ(pts[i].no_sync + pts[i].header_fail + pts[i].payload_fail,
+              kPinned[i])
+        << pts[i].snr_db << " dB";
+    EXPECT_EQ(pts[i].per_monte_carlo * 25.0, static_cast<double>(kPinned[i]));
+  }
+}
+
+TEST(MonteCarlo, FailureStagesSumToFailuresAtAnyThreadCount) {
+  MonteCarloConfig cfg;
+  cfg.rate = itb::wifi::DsssRate::k11Mbps;
+  cfg.psdu_bytes = 31;
+  cfg.trials_per_point = 12;
+  cfg.seed = 404;
+  cfg.impairments = itb::channel::ward_mobility_preset(11e6);
+  const std::vector<double> grid{-2.0, 2.0, 6.0, 10.0};
+
+  std::vector<std::vector<PerPoint>> runs;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    cfg.num_threads = threads;
+    runs.push_back(per_vs_snr(cfg, grid));
+  }
+  std::size_t stages_seen = 0;
+  for (const PerPoint& p : runs[0]) {
+    const std::size_t failures = p.no_sync + p.header_fail + p.payload_fail;
+    EXPECT_EQ(static_cast<double>(failures) / static_cast<double>(p.trials),
+              p.per_monte_carlo)
+        << p.snr_db << " dB";
+    stages_seen |= (p.no_sync > 0 ? 1u : 0u) | (p.payload_fail > 0 ? 2u : 0u);
+  }
+  // The grid reaches both the no-sync and the payload-failure regime.
+  EXPECT_EQ(stages_seen, 3u);
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].size(), runs[0].size());
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(runs[r][i].per_monte_carlo, runs[0][i].per_monte_carlo);
+      EXPECT_EQ(runs[r][i].no_sync, runs[0][i].no_sync);
+      EXPECT_EQ(runs[r][i].header_fail, runs[0][i].header_fail);
+      EXPECT_EQ(runs[r][i].payload_fail, runs[0][i].payload_fail);
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "core/monte_carlo.h"
 #include "fleet_configs.h"
 #include "obs/capture.h"
 #include "obs/fnv1a.h"
@@ -701,6 +702,38 @@ TEST(ProfZoneTest, DisabledZonesCostNothingAndCountNothing) {
     obs::ProfZone p(zone);
   }
   EXPECT_EQ(zone_calls(obs::prof_report(), "test.disabled"), 0u);
+}
+
+TEST(ProfZoneTest, DsssZonesRecordedUnderPerVsSnrWithoutChangingResults) {
+  core::MonteCarloConfig cfg;
+  cfg.rate = wifi::DsssRate::k11Mbps;
+  cfg.psdu_bytes = 16;
+  cfg.trials_per_point = 5;
+  cfg.seed = 31;
+  cfg.num_threads = 2;
+  cfg.impairments = channel::implant_tissue_preset(11e6);
+  const std::vector<double> grid{4.0, 12.0};
+
+  obs::prof_enable(false);
+  obs::prof_reset();
+  const auto plain = core::per_vs_snr(cfg, grid);
+  obs::prof_enable(true);
+  const auto profiled = core::per_vs_snr(cfg, grid);
+  obs::prof_enable(false);
+
+  const auto stats = obs::prof_report();
+  const std::uint64_t trials = grid.size() * cfg.trials_per_point;
+  EXPECT_EQ(zone_calls(stats, "phy.dsss_tx"), trials);
+  EXPECT_EQ(zone_calls(stats, "phy.dsss_rx"), trials);
+  EXPECT_GT(zone_total_ms(stats, "phy.dsss_rx"), 0.0);
+
+  ASSERT_EQ(plain.size(), profiled.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].per_monte_carlo, profiled[i].per_monte_carlo);
+    EXPECT_EQ(plain[i].no_sync, profiled[i].no_sync);
+    EXPECT_EQ(plain[i].header_fail, profiled[i].header_fail);
+    EXPECT_EQ(plain[i].payload_fail, profiled[i].payload_fail);
+  }
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(CckExhaustive, All256ElevenMbpsSymbolsRoundTrip) {
     phy::Bits bits(16, 0);
     for (int b = 0; b < 8; ++b) bits[8 + b] = (v >> b) & 1;
     const auto chips = mod.modulate(bits);
-    const auto out = demod.demodulate(chips, 0.0);
+    const auto out = demod.demodulate(chips);
     EXPECT_EQ(out, bits) << "symbol " << v;
   }
 }
@@ -111,7 +111,7 @@ TEST(CckExhaustive, All16FiveMbpsSymbolsRoundTrip) {
     phy::Bits bits(8, 0);
     for (int b = 0; b < 4; ++b) bits[4 + b] = (v >> b) & 1;
     const auto chips = mod.modulate(bits);
-    const auto out = demod.demodulate(chips, 0.0);
+    const auto out = demod.demodulate(chips);
     EXPECT_EQ(out, bits) << "symbol " << v;
   }
 }

@@ -401,8 +401,8 @@ TEST(SimdParity, MonteCarloSweepBitIdenticalAcrossThreadsAndDispatch) {
   expect_sweep_bit_identical(cfg, {0.0, 6.0});
 
   // The implant workload: 11 Mbps CCK through the implant-tissue preset,
-  // which drives accum_scaled_conj (CCK codeword search) plus the FIR, IQ
-  // and quantizer kernels of the impairment chain.
+  // which drives the receiver's correlate_real and despread_real plus the
+  // FIR, IQ and quantizer kernels of the impairment chain.
   cfg.rate = itb::wifi::DsssRate::k11Mbps;
   cfg.impairments = itb::channel::implant_tissue_preset(11e6);
   expect_sweep_bit_identical(cfg, {4.0, 10.0, 16.0});

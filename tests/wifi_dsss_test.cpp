@@ -2,9 +2,13 @@
 // and the full transmitter -> receiver loop at all four rates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "channel/awgn.h"
+#include "dsp/mixer.h"
 #include "dsp/rng.h"
 #include "wifi/barker.h"
 #include "wifi/cck.h"
@@ -96,11 +100,64 @@ TEST(Dpsk, PhaseIncrements) {
   EXPECT_DOUBLE_EQ(dqpsk_phase_increment(1, 0), 3 * itb::dsp::kPi / 2);
 }
 
-TEST(Dpsk, QuantizeQuarter) {
-  EXPECT_EQ(quantize_quarter(0.01), 0u);
-  EXPECT_EQ(quantize_quarter(itb::dsp::kPi / 2 - 0.01), 1u);
-  EXPECT_EQ(quantize_quarter(-itb::dsp::kPi / 2), 3u);
-  EXPECT_EQ(quantize_quarter(itb::dsp::kPi + 0.1), 2u);
+TEST(Dpsk, NearestQuarter) {
+  EXPECT_EQ(nearest_quarter(std::polar(1.0, 0.01)), 0u);
+  EXPECT_EQ(nearest_quarter(std::polar(2.0, itb::dsp::kPi / 2 - 0.01)), 1u);
+  EXPECT_EQ(nearest_quarter(std::polar(0.5, -itb::dsp::kPi / 2)), 3u);
+  EXPECT_EQ(nearest_quarter(std::polar(1.0, itb::dsp::kPi + 0.1)), 2u);
+}
+
+// The decisions the sign tests replace: the phase of s * conj(prev) by arg,
+// folded into [0, 2pi) and rounded to a quarter turn.
+unsigned arg_quarter(Real phase_rad) {
+  Real p = std::fmod(phase_rad, itb::dsp::kTwoPi);
+  if (p < 0) p += itb::dsp::kTwoPi;
+  return static_cast<unsigned>(std::lround(p / (itb::dsp::kPi / 2.0))) % 4;
+}
+
+TEST(Dpsk, SignTestDecisionsMatchArgReference) {
+  itb::dsp::Xoshiro256 rng(515);
+  CVec sym(20000);
+  for (auto& s : sym) s = rng.complex_gaussian(1.0);
+  const Complex reference = rng.complex_gaussian(1.0);
+  const Bits dbpsk = dbpsk_decode(sym, reference);
+  const Bits dqpsk = dqpsk_decode(sym, reference);
+  ASSERT_EQ(dbpsk.size(), sym.size());
+  ASSERT_EQ(dqpsk.size(), 2 * sym.size());
+  Complex prev = reference;
+  for (std::size_t i = 0; i < sym.size(); ++i) {
+    const Real dphi = std::arg(sym[i] * std::conj(prev));
+    EXPECT_EQ(dbpsk[i], std::abs(dphi) > itb::dsp::kPi / 2.0 ? 1 : 0) << i;
+    const auto dibit = dqpsk_dibit(arg_quarter(dphi));
+    EXPECT_EQ(dqpsk[2 * i], dibit[0]) << i;
+    EXPECT_EQ(dqpsk[2 * i + 1], dibit[1]) << i;
+    // The dibit table inverts the encoder's increments.
+    EXPECT_EQ(dqpsk_phase_increment(dibit[0], dibit[1]),
+              arg_quarter(dphi) * (itb::dsp::kPi / 2.0));
+    prev = sym[i];
+  }
+}
+
+// --- Receiver CFO derotation -------------------------------------------------
+
+TEST(CarrierPhasor, MatchesPerChipRotationBothSigns) {
+  // The receiver derotates by the estimated per-chip step, up to a quarter
+  // turn per 11-chip symbol (+-250 kHz at 11 Mchip/s).
+  itb::dsp::Xoshiro256 rng(616);
+  CVec chips(2500);
+  for (auto& c : chips) c = rng.complex_gaussian(1.0);
+  for (const Real cfo_hz : {250e3, -250e3, 97e3, -41e3, 1.0}) {
+    const Real phi_chip = itb::dsp::kTwoPi * cfo_hz / 11e6;
+    CVec got = chips;
+    itb::dsp::rotate_carrier(got, 0.0, -phi_chip);
+    Real worst = 0.0;
+    for (std::size_t i = 0; i < chips.size(); ++i) {
+      const Real phase = -phi_chip * static_cast<Real>(i);
+      const Complex want = chips[i] * Complex{std::cos(phase), std::sin(phase)};
+      worst = std::max(worst, std::abs(got[i] - want));
+    }
+    EXPECT_LT(worst, 1e-12) << cfo_hz << " Hz";
+  }
 }
 
 // --- CCK -----------------------------------------------------------------------
@@ -141,7 +198,7 @@ TEST_P(CckRoundTrip, CleanChannel) {
   const std::size_t n = rate == DsssRate::k5_5Mbps ? 4 * 50 : 8 * 50;
   for (std::size_t i = 0; i < n; ++i) bits.push_back(rng.bit());
   const CVec chips = mod.modulate(bits);
-  const Bits out = demod.demodulate(chips, 0.0);
+  const Bits out = demod.demodulate(chips);
   EXPECT_EQ(out, bits);
 }
 
@@ -155,11 +212,108 @@ TEST_P(CckRoundTrip, NoisyChannel10Db) {
   for (std::size_t i = 0; i < n; ++i) bits.push_back(rng.bit());
   CVec chips = mod.modulate(bits);
   chips = itb::channel::add_noise_snr(chips, 10.0, rng);
-  const Bits out = demod.demodulate(chips, 0.0);
+  const Bits out = demod.demodulate(chips);
   EXPECT_EQ(itb::phy::hamming_distance(out, bits), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, CckRoundTrip,
+                         ::testing::Values(DsssRate::k5_5Mbps, DsssRate::k11Mbps));
+
+// Candidate v's base codeword (p1 = 0), built from cos/sin phases.
+std::array<Complex, kCckChipsPerSymbol> direct_codeword(DsssRate rate,
+                                                        std::size_t v) {
+  const std::size_t data_bits = rate == DsssRate::k11Mbps ? 6 : 2;
+  Bits bits(data_bits);
+  for (std::size_t b = 0; b < data_bits; ++b) bits[b] = (v >> b) & 1;
+  const auto p = CckModulator(rate).data_phases(bits);
+  return cck_codeword(0.0, p[0], p[1], p[2]);
+}
+
+class CckQuarterTurn : public ::testing::TestWithParam<DsssRate> {};
+
+TEST_P(CckQuarterTurn, CorrelationsMatchDirectSum) {
+  const DsssRate rate = GetParam();
+  const std::size_t candidates = rate == DsssRate::k11Mbps ? 64 : 4;
+  std::vector<std::array<Complex, kCckChipsPerSymbol>> words;
+  for (std::size_t v = 0; v < candidates; ++v) {
+    words.push_back(direct_codeword(rate, v));
+  }
+  const CckDemodulator demod(rate);
+  itb::dsp::Xoshiro256 rng(717);
+  std::array<Complex, CckDemodulator::kMaxCandidates> got;
+  for (int block = 0; block < 10000; ++block) {
+    // A random codeword at a random phase, at 0..12 dB chip SNR.
+    const auto& tx = words[rng.uniform_int(candidates)];
+    const Complex gain = std::polar(1.0, rng.uniform(0.0, itb::dsp::kTwoPi));
+    const Real noise = std::pow(10.0, -rng.uniform(0.0, 12.0) / 10.0);
+    std::array<Complex, kCckChipsPerSymbol> r;
+    for (std::size_t k = 0; k < r.size(); ++k) {
+      r[k] = gain * tx[k] + rng.complex_gaussian(noise);
+    }
+    ASSERT_EQ(demod.correlate(r, got), candidates);
+    std::size_t best_direct = 0;
+    std::size_t best_got = 0;
+    Real mag_direct = -1.0;
+    Real mag_got = -1.0;
+    for (std::size_t v = 0; v < candidates; ++v) {
+      Complex want{0.0, 0.0};
+      for (std::size_t k = 0; k < r.size(); ++k) {
+        want += r[k] * std::conj(words[v][k]);
+      }
+      ASSERT_LT(std::abs(got[v] - want), 1e-12) << "block " << block << " v " << v;
+      if (std::norm(want) > mag_direct) {
+        mag_direct = std::norm(want);
+        best_direct = v;
+      }
+      if (std::norm(got[v]) > mag_got) {
+        mag_got = std::norm(got[v]);
+        best_got = v;
+      }
+    }
+    ASSERT_EQ(best_got, best_direct) << "block " << block;
+  }
+}
+
+TEST_P(CckQuarterTurn, DemodulateMatchesArgReference) {
+  // The pre-sign-test demodulator: direct codeword search, then p1 from
+  // arg differences with the odd-symbol pi removed, rounded by lround.
+  const DsssRate rate = GetParam();
+  const std::size_t candidates = rate == DsssRate::k11Mbps ? 64 : 4;
+  const std::size_t data_bits = rate == DsssRate::k11Mbps ? 6 : 2;
+  itb::dsp::Xoshiro256 rng(818);
+  CVec chips(kCckChipsPerSymbol * 4000);
+  for (auto& c : chips) c = rng.complex_gaussian(1.0);
+  const Complex reference = rng.complex_gaussian(1.0);
+
+  Bits want;
+  Real phase_ref = std::arg(reference);
+  for (std::size_t s = 0; s * kCckChipsPerSymbol < chips.size(); ++s) {
+    std::size_t best = 0;
+    Complex best_corr{0.0, 0.0};
+    for (std::size_t v = 0; v < candidates; ++v) {
+      const auto cw = direct_codeword(rate, v);
+      Complex acc{0.0, 0.0};
+      for (std::size_t k = 0; k < kCckChipsPerSymbol; ++k) {
+        acc += chips[s * kCckChipsPerSymbol + k] * std::conj(cw[k]);
+      }
+      if (v == 0 || std::norm(acc) > std::norm(best_corr)) {
+        best = v;
+        best_corr = acc;
+      }
+    }
+    const Real p1 = std::arg(best_corr);
+    Real dphi = p1 - phase_ref;
+    if (s % 2 == 1) dphi -= itb::dsp::kPi;
+    const auto dibit = dqpsk_dibit(arg_quarter(dphi));
+    want.push_back(dibit[0]);
+    want.push_back(dibit[1]);
+    for (std::size_t b = 0; b < data_bits; ++b) want.push_back((best >> b) & 1);
+    phase_ref = p1;
+  }
+  EXPECT_EQ(CckDemodulator(rate).demodulate(chips, reference), want);
+}
+
+INSTANTIATE_TEST_SUITE_P(Rates, CckQuarterTurn,
                          ::testing::Values(DsssRate::k5_5Mbps, DsssRate::k11Mbps));
 
 // --- PLCP ----------------------------------------------------------------------

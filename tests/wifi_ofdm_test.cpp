@@ -369,6 +369,45 @@ INSTANTIATE_TEST_SUITE_P(Rates, OfdmLoopback,
                                            OfdmRate::k24, OfdmRate::k36,
                                            OfdmRate::k54));
 
+TEST(OfdmLoopback9Mbps, EveryDataSymbolCountDecodes) {
+  // 9 Mbps carries 36 data bits (4.5 bytes) a symbol, so an odd symbol
+  // count makes the byte LENGTH floor; the receiver must still decode every
+  // symbol. These PSDUs fill 1, 2, 3 and 4 data symbols.
+  OfdmTxConfig txcfg;
+  txcfg.rate = OfdmRate::k9;
+  const OfdmTransmitter tx(txcfg);
+  itb::dsp::Xoshiro256 rng(63);
+  std::size_t symbols = 1;
+  for (const std::size_t bytes : {1u, 4u, 8u, 13u}) {
+    Bytes psdu(bytes);
+    for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    const OfdmTxResult t = tx.transmit(psdu);
+    ASSERT_EQ(t.num_data_symbols, symbols) << bytes << " B";
+
+    const auto r = OfdmReceiver().receive(t.baseband);
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(r->signal_ok);
+    EXPECT_EQ(r->rate, OfdmRate::k9);
+    // Every bit after SERVICE and before the tail comes back, pad included.
+    EXPECT_EQ(r->psdu.size(), (36 * symbols - 16 - 6) / 8) << bytes << " B";
+    ASSERT_GE(r->psdu.size(), psdu.size()) << bytes << " B";
+    for (std::size_t i = 0; i < psdu.size(); ++i) {
+      EXPECT_EQ(r->psdu[i], psdu[i]) << bytes << " B, byte " << i;
+    }
+    ++symbols;
+  }
+}
+
+TEST(OfdmRx, ZeroLengthSignalDecodesNoPsdu) {
+  // LENGTH 0 passes the SIGNAL parity but announces no DATA symbols.
+  const OfdmTxResult t = OfdmTransmitter().transmit_data_bits(Bits{});
+  ASSERT_EQ(t.num_data_symbols, 0u);
+  const auto r = OfdmReceiver().receive(t.baseband);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->signal_ok);
+  EXPECT_TRUE(r->psdu.empty());
+}
+
 TEST(OfdmRx, NoFrameInNoise) {
   itb::dsp::Xoshiro256 rng(63);
   CVec noise(8000);
