@@ -40,12 +40,6 @@ std::array<std::complex<Real>, 4> ImpedanceNetwork::gammas() const {
   return {gamma(0), gamma(1), gamma(2), gamma(3)};
 }
 
-Real ImpedanceNetwork::mean_magnitude() const {
-  Real acc = 0.0;
-  for (std::size_t i = 0; i < 4; ++i) acc += std::abs(gamma(i));
-  return acc / 4.0;
-}
-
 Real ImpedanceNetwork::constellation_error_rad() const {
   // Ideal spacing: the sorted state angles should be 90 degrees apart.
   std::array<Real, 4> ang;

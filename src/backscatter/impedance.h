@@ -50,9 +50,6 @@ struct ImpedanceNetwork {
   /// All four Gammas.
   std::array<std::complex<Real>, 4> gammas() const;
 
-  /// Mean magnitude of the four states (drives conversion loss).
-  Real mean_magnitude() const;
-
   /// Worst-case angular deviation (rad) of the four states from an ideal
   /// 90-degree-spaced QPSK constellation (after optimal common rotation).
   Real constellation_error_rad() const;

@@ -77,11 +77,6 @@ CVec SsbModulator::states_to_waveform(const StateSequence& states) const {
   return out;
 }
 
-CVec SsbModulator::modulate(
-    const std::vector<std::uint8_t>& rotation_per_sample) const {
-  return states_to_waveform(modulate_states(rotation_per_sample));
-}
-
 Real SsbModulator::conversion_loss_db(std::size_t probe_samples) const {
   const CVec wave = states_to_waveform(carrier_states(probe_samples));
   itb::dsp::WelchConfig wcfg;

@@ -50,9 +50,6 @@ class SsbModulator {
   /// incident tone amplitude: out[k] = Gamma(state[k]).
   CVec states_to_waveform(const StateSequence& states) const;
 
-  /// Convenience: full pipeline from per-sample rotations to waveform.
-  CVec modulate(const std::vector<std::uint8_t>& rotation_per_sample) const;
-
   const SsbConfig& config() const { return cfg_; }
 
   /// Conversion loss (dB): power of the fundamental at +shift_hz relative to

@@ -61,21 +61,4 @@ SingleToneResult make_single_tone_packet(const SingleToneSpec& spec) {
   return out;
 }
 
-std::size_t longest_constant_run(const Bits& air_bits, std::size_t begin,
-                                 std::size_t end) {
-  assert(end <= air_bits.size() && begin <= end);
-  std::size_t best = 0;
-  std::size_t cur = 1;
-  for (std::size_t i = begin + 1; i < end; ++i) {
-    if (air_bits[i] == air_bits[i - 1]) {
-      ++cur;
-    } else {
-      best = std::max(best, cur);
-      cur = 1;
-    }
-  }
-  if (end > begin) best = std::max(best, cur);
-  return best;
-}
-
 }  // namespace itb::ble

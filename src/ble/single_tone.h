@@ -50,9 +50,4 @@ Bytes single_tone_payload(unsigned channel_index, ToneSign sign,
                           std::size_t payload_bytes,
                           const AdvPacketConfig& base = {});
 
-/// Verifies the single-tone property on arbitrary air bits: returns the
-/// length of the longest constant run inside [begin, end).
-std::size_t longest_constant_run(const Bits& air_bits, std::size_t begin,
-                                 std::size_t end);
-
 }  // namespace itb::ble

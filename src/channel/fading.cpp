@@ -22,10 +22,6 @@ Real backscatter_fade_power_gain(const RicianFading& hop1,
   return hop1.sample_power_gain(rng) * hop2.sample_power_gain(rng);
 }
 
-Real fade_db(const RicianFading& f, itb::dsp::Xoshiro256& rng) {
-  return itb::dsp::ratio_to_db(std::max(f.sample_power_gain(rng), 1e-12));
-}
-
 Real backscatter_fade_db(const RicianFading& hop1, const RicianFading& hop2,
                          itb::dsp::Xoshiro256& rng) {
   return itb::dsp::ratio_to_db(

@@ -39,8 +39,7 @@ Real backscatter_fade_power_gain(const RicianFading& hop1,
                                  const RicianFading& hop2,
                                  itb::dsp::Xoshiro256& rng);
 
-/// Convenience: dB forms.
-Real fade_db(const RicianFading& f, itb::dsp::Xoshiro256& rng);
+/// Convenience: dB form of backscatter_fade_power_gain (floored at -120 dB).
 Real backscatter_fade_db(const RicianFading& hop1, const RicianFading& hop2,
                          itb::dsp::Xoshiro256& rng);
 

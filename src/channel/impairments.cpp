@@ -189,69 +189,6 @@ CVec ImpairmentChain::apply(const CVec& x, std::uint64_t seed,
   return y;
 }
 
-Real impaired_snr_db(const ImpairmentConfig& cfg, Real snr_db,
-                     Real symbol_rate_hz) {
-  const Real t_sym = 1.0 / symbol_rate_hz;
-
-  // Error-vector power of each stage relative to unit signal power. These
-  // are the standard small-impairment approximations; each is zero for an
-  // ideal radio and grows monotonically with its knob.
-  Real evm2 = 0.0;
-
-  // Residual CFO after receiver synchronization. The upgraded receivers
-  // estimate CFO from the preamble; the estimator residual scales with the
-  // raw offset (finite preamble length), modeled as a 5% remnant. The
-  // uncorrected phase ramp over one symbol has uniform-phase error power
-  // theta^2/3.
-  const Real cfo_hz = std::abs(
-      FrequencyOffset::from_ppm(cfg.cfo_ppm, cfg.carrier_hz).hz());
-  const Real theta_cfo = itb::dsp::kTwoPi * 0.05 * cfo_hz * t_sym;
-  evm2 += theta_cfo * theta_cfo / 3.0;
-
-  // Sampling offset: timing drift accumulated over a frame (~100 symbols)
-  // as a fraction of the symbol, squared.
-  const Real drift = std::abs(cfg.sro_ppm) * 1e-6 * 100.0;
-  evm2 += drift * drift;
-
-  // Wiener phase noise variance accrued over one symbol.
-  evm2 += itb::dsp::kTwoPi * cfg.phase_noise_linewidth_hz * t_sym;
-
-  // IQ imbalance image power |beta/alpha|^2.
-  if (cfg.iq_gain_db != 0.0 || cfg.iq_phase_deg != 0.0) {
-    const Real g = itb::dsp::db_to_amplitude(cfg.iq_gain_db);
-    const Real phi = cfg.iq_phase_deg * itb::dsp::kPi / 180.0;
-    const Complex e{std::cos(phi), std::sin(phi)};
-    const Complex alpha = (1.0 + g * e) / 2.0;
-    const Complex beta = (1.0 - g * std::conj(e)) / 2.0;
-    evm2 += std::norm(beta) / std::norm(alpha);
-  }
-
-  // Quantization noise at the configured headroom: SQNR = 6.02b + 1.76 -
-  // headroom (the headroom trades resolution for clip margin).
-  if (cfg.adc_bits > 0) {
-    const Real sqnr_db =
-        6.02 * static_cast<Real>(cfg.adc_bits) + 1.76 - cfg.adc_headroom_db;
-    evm2 += itb::dsp::db_to_ratio(-sqnr_db);
-  }
-
-  // Multipath ISI: energy arriving later than the symbol's matched window,
-  // approximated by the delay-spread-to-symbol ratio (flat-fading level
-  // variation is already handled by channel/fading draws).
-  if (cfg.multipath) {
-    const Real r = cfg.multipath->delay_spread_s / t_sym;
-    evm2 += r * r;
-  }
-
-  // Impairment error power adds to thermal noise referred to the signal.
-  const Real snr_lin = itb::dsp::db_to_ratio(snr_db);
-  return itb::dsp::ratio_to_db(snr_lin / (1.0 + snr_lin * evm2));
-}
-
-Real impairment_snr_penalty_db(const ImpairmentConfig& cfg, Real snr_db,
-                               Real symbol_rate_hz) {
-  return snr_db - impaired_snr_db(cfg, snr_db, symbol_rate_hz);
-}
-
 ImpairmentConfig implant_tissue_preset(Real sample_rate_hz, Real carrier_hz) {
   ImpairmentConfig cfg;
   cfg.carrier_hz = carrier_hz;

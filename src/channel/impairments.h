@@ -105,19 +105,6 @@ class ImpairmentChain {
   ImpairmentConfig cfg_;
 };
 
-/// Budget-level effective SNR after impairments: folds each stage's error
-/// vector power into the thermal SNR, for the closed-form sweeps that never
-/// touch waveforms (sim/network link draws). `symbol_rate_hz` sets the
-/// timescale over which residual CFO / phase noise / delay spread hurt.
-/// Monotone: any impairment magnitude increase can only lower the result.
-Real impaired_snr_db(const ImpairmentConfig& cfg, Real snr_db,
-                     Real symbol_rate_hz);
-
-/// Convenience: the SNR penalty (dB >= 0) the impairments cost at this
-/// operating point.
-Real impairment_snr_penalty_db(const ImpairmentConfig& cfg, Real snr_db,
-                               Real symbol_rate_hz);
-
 // --- presets for the paper's deployment scenarios -------------------------
 // Each takes the waveform's sample rate because the chain is applied at
 // baseband; the carrier default matches the 2.4 GHz ISM band.
@@ -137,7 +124,7 @@ ImpairmentConfig ward_mobility_preset(Real sample_rate_hz,
 ImpairmentConfig card_to_card_preset(Real sample_rate_hz,
                                      Real carrier_hz = 2.437e9);
 
-/// Named presets for config plumbing (core scenarios, sim/network, benches).
+/// Named presets for config plumbing (core scenarios, Monte Carlo, benches).
 enum class ImpairmentPreset {
   kNone,
   kImplantTissue,

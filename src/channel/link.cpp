@@ -58,8 +58,9 @@ Real per_80211b(itb::wifi::DsssRate rate, Real snr_db, std::size_t psdu_bytes) {
   if (std::isnan(snr_db) || snr_db <= kLinkDownDb) return 1.0;
   // Implementation loss: real receivers lose ~3 dB to chip-timing
   // acquisition, differential detection and channel estimation relative to
-  // ideal coherent detection. Calibrated against the waveform-level Monte
-  // Carlo in bench/ablation_per_model.cpp.
+  // ideal coherent detection. Not fitted: bench/ablation_per_model prints
+  // how far this closed form sits left of the waveform-level Monte Carlo
+  // at PER 0.5 and 0.1 (about 1-2 dB optimistic at 2 and 11 Mbps).
   constexpr Real kImplementationLossDb = 3.0;
   // Convert channel SNR (22 MHz) to Eb/N0: Eb/N0 = SNR * BW / bitrate.
   const Real bitrate = rate_mbps(rate) * 1e6;

@@ -9,8 +9,6 @@ TissueProperties muscle_2g4() { return {52.7, 1.74}; }
 
 TissueProperties saline_2g4() { return {74.0, 3.5}; }
 
-TissueProperties grey_matter_2g4() { return {48.9, 1.81}; }
-
 Real attenuation_constant_np_per_m(const TissueProperties& t, Real freq_hz) {
   // alpha = omega * sqrt(mu*eps'/2 * (sqrt(1 + (sigma/(omega eps'))^2) - 1))
   const Real omega = itb::dsp::kTwoPi * freq_hz;
@@ -40,11 +38,6 @@ Real interface_loss_db(const TissueProperties& t, Real freq_hz) {
   const std::complex<Real> gamma = (eta_t - eta_0) / (eta_t + eta_0);
   const Real transmitted = 1.0 - std::norm(gamma);
   return -10.0 * std::log10(std::max(transmitted, 1e-9));
-}
-
-Real round_trip_implant_loss_db(const TissueProperties& t, Real freq_hz,
-                                Real depth_m) {
-  return 2.0 * (tissue_loss_db(t, freq_hz, depth_m) + interface_loss_db(t, freq_hz));
 }
 
 }  // namespace itb::channel

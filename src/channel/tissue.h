@@ -25,10 +25,6 @@ TissueProperties muscle_2g4();
 /// Physiological saline / contact-lens solution at 2.45 GHz.
 TissueProperties saline_2g4();
 
-/// Grey matter at 2.45 GHz (close to muscle; the paper's rationale for the
-/// pork-chop substitute).
-TissueProperties grey_matter_2g4();
-
 /// Attenuation constant alpha (Np/m) of a plane wave in the material.
 Real attenuation_constant_np_per_m(const TissueProperties& t, Real freq_hz);
 
@@ -38,11 +34,5 @@ Real tissue_loss_db(const TissueProperties& t, Real freq_hz, Real depth_m);
 /// Power reflection loss (dB) crossing the air/tissue interface once
 /// (normal incidence, impedance mismatch).
 Real interface_loss_db(const TissueProperties& t, Real freq_hz);
-
-/// Total extra loss for a signal entering the tissue, reaching an implant at
-/// `depth_m`, and returning out (used for backscatter round trips when both
-/// directions cross the tissue).
-Real round_trip_implant_loss_db(const TissueProperties& t, Real freq_hz,
-                                Real depth_m);
 
 }  // namespace itb::channel

@@ -144,6 +144,4 @@ std::vector<SweepPoint> sweep_distance(const UplinkScenario& base,
   return out;
 }
 
-std::string version() { return "interscatter 1.0.0"; }
-
 }  // namespace itb::core

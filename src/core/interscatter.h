@@ -17,7 +17,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "backscatter/tag.h"
 #include "ble/single_tone.h"
@@ -112,8 +111,5 @@ struct SweepPoint {
 std::vector<SweepPoint> sweep_distance(const UplinkScenario& base,
                                        const std::vector<Real>& distances_m,
                                        std::size_t psdu_bytes);
-
-/// Library version string.
-std::string version();
 
 }  // namespace itb::core

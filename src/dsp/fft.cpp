@@ -82,14 +82,6 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
-CVec fftshift(std::span<const Complex> x) {
-  const std::size_t n = x.size();
-  CVec out(n);
-  const std::size_t half = n / 2;
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[(i + half) % n];
-  return out;
-}
-
 RVec fftshift(std::span<const Real> x) {
   const std::size_t n = x.size();
   RVec out(n);

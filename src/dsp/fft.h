@@ -40,7 +40,6 @@ std::size_t next_power_of_two(std::size_t n);
 
 /// fftshift: swaps halves so DC ends up in the middle (even sizes) —
 /// convenient for plotting spectra.
-CVec fftshift(std::span<const Complex> x);
 RVec fftshift(std::span<const Real> x);
 
 }  // namespace itb::dsp

@@ -66,12 +66,4 @@ CVec hold_upsample(std::span<const Complex> x, std::size_t factor) {
   return out;
 }
 
-RVec hold_upsample(std::span<const Real> x, std::size_t factor) {
-  RVec out(x.size() * factor);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    for (std::size_t k = 0; k < factor; ++k) out[i * factor + k] = x[i];
-  }
-  return out;
-}
-
 }  // namespace itb::dsp

@@ -30,6 +30,5 @@ CVec resample_linear(std::span<const Complex> x, Real in_rate_hz, Real out_rate_
 /// to sample-rate expansion where the rectangular shape is intentional
 /// (switching waveforms).
 CVec hold_upsample(std::span<const Complex> x, std::size_t factor);
-RVec hold_upsample(std::span<const Real> x, std::size_t factor);
 
 }  // namespace itb::dsp

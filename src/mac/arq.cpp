@@ -1,27 +1,8 @@
 #include "mac/arq.h"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
-#include "phycommon/crc.h"
 
 namespace itb::mac {
-
-namespace {
-
-std::uint16_t fragment_crc(const FragmentHeader& h,
-                           std::span<const std::uint8_t> payload) {
-  Bytes covered;
-  covered.reserve(kFragmentHeaderBytes + payload.size());
-  covered.push_back(h.message_seq);
-  covered.push_back(h.frag_index);
-  covered.push_back(h.frag_count);
-  covered.insert(covered.end(), payload.begin(), payload.end());
-  return itb::phy::crc16_x25(covered);
-}
-
-}  // namespace
 
 // --- fragmentation -----------------------------------------------------------
 
@@ -31,98 +12,6 @@ std::size_t fragment_count(std::size_t message_bytes,
   return (message_bytes + fragment_payload_bytes - 1) / fragment_payload_bytes;
 }
 
-Bytes make_fragment(const Bytes& message, std::size_t fragment_payload_bytes,
-                    std::uint8_t message_seq, std::size_t index) {
-  const std::size_t count =
-      fragment_count(message.size(), fragment_payload_bytes);
-  if (count > kMaxFragmentsPerMessage) {
-    throw std::invalid_argument("make_fragment: > 255 fragments");
-  }
-  if (index >= count) {
-    throw std::invalid_argument("make_fragment: fragment index out of range");
-  }
-  const std::size_t per =
-      fragment_payload_bytes == 0 ? message.size() : fragment_payload_bytes;
-  const std::size_t begin = index * per;
-  const std::size_t end = std::min(begin + per, message.size());
-
-  FragmentHeader h;
-  h.message_seq = message_seq;
-  h.frag_index = static_cast<std::uint8_t>(index);
-  h.frag_count = static_cast<std::uint8_t>(count);
-
-  Bytes wire;
-  wire.reserve(kFragmentOverheadBytes + (end - begin));
-  wire.push_back(h.message_seq);
-  wire.push_back(h.frag_index);
-  wire.push_back(h.frag_count);
-  wire.insert(wire.end(), message.begin() + static_cast<std::ptrdiff_t>(begin),
-              message.begin() + static_cast<std::ptrdiff_t>(end));
-  const std::uint16_t crc = fragment_crc(
-      h, std::span<const std::uint8_t>(wire).subspan(kFragmentHeaderBytes));
-  wire.push_back(static_cast<std::uint8_t>(crc & 0xFF));
-  wire.push_back(static_cast<std::uint8_t>(crc >> 8));
-  return wire;
-}
-
-std::optional<ParsedFragment> parse_fragment(const Bytes& wire) {
-  if (wire.size() < kFragmentOverheadBytes) return std::nullopt;
-  ParsedFragment out;
-  out.header.message_seq = wire[0];
-  out.header.frag_index = wire[1];
-  out.header.frag_count = wire[2];
-  if (out.header.frag_count == 0 ||
-      out.header.frag_index >= out.header.frag_count) {
-    return std::nullopt;
-  }
-  out.payload.assign(wire.begin() + kFragmentHeaderBytes,
-                     wire.end() - kFragmentCrcBytes);
-  const auto stored = static_cast<std::uint16_t>(
-      wire[wire.size() - 2] | (wire[wire.size() - 1] << 8));
-  if (fragment_crc(out.header, out.payload) != stored) return std::nullopt;
-  return out;
-}
-
-bool Reassembler::accept(const ParsedFragment& f) {
-  if (started_ && f.header.message_seq != seq_) return false;
-  if (!started_) {
-    started_ = true;
-    seq_ = f.header.message_seq;
-    parts_.assign(f.header.frag_count, std::nullopt);
-  }
-  if (f.header.frag_index >= parts_.size()) return false;
-  if (parts_[f.header.frag_index].has_value()) return false;  // duplicate
-  parts_[f.header.frag_index] = f.payload;
-  return true;
-}
-
-bool Reassembler::complete() const {
-  if (!started_) return false;
-  return std::all_of(parts_.begin(), parts_.end(),
-                     [](const auto& p) { return p.has_value(); });
-}
-
-Bytes Reassembler::message() const {
-  if (!complete()) return {};
-  Bytes out;
-  for (const auto& p : parts_) out.insert(out.end(), p->begin(), p->end());
-  return out;
-}
-
-std::vector<std::uint8_t> Reassembler::missing() const {
-  std::vector<std::uint8_t> out;
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    if (!parts_[i].has_value()) out.push_back(static_cast<std::uint8_t>(i));
-  }
-  return out;
-}
-
-void Reassembler::reset() {
-  started_ = false;
-  seq_ = 0;
-  parts_.clear();
-}
-
 // --- retry policy ------------------------------------------------------------
 
 ArqConfig ArqConfig::validated() const {
@@ -130,9 +19,8 @@ ArqConfig ArqConfig::validated() const {
   out.max_attempts = std::max<std::size_t>(out.max_attempts, 1);
   out.backoff_cap_slots =
       std::max(out.backoff_cap_slots, out.backoff_base_slots);
-  // The wire header stores the fragment index in one byte; a pathological
-  // fragment size that would overflow it degrades to "no fragmentation"
-  // rather than producing unparseable frames.
+  // The fragment header stores the index in one byte; a pathological
+  // fragment size that would overflow it degrades to "no fragmentation".
   if (out.fragment_bytes > 0 &&
       fragment_count(4096, out.fragment_bytes) > kMaxFragmentsPerMessage) {
     out.fragment_bytes = 0;
@@ -149,18 +37,6 @@ std::size_t backoff_slots(const ArqConfig& cfg,
     if (slots >= cfg.backoff_cap_slots) return cfg.backoff_cap_slots;
   }
   return std::min(slots, cfg.backoff_cap_slots);
-}
-
-double arq_delivery_probability(double p_success, std::size_t max_attempts) {
-  p_success = std::clamp(p_success, 0.0, 1.0);
-  return 1.0 - std::pow(1.0 - p_success, static_cast<double>(max_attempts));
-}
-
-double arq_expected_attempts(double p_success, std::size_t max_attempts) {
-  p_success = std::clamp(p_success, 0.0, 1.0);
-  const auto n = static_cast<double>(max_attempts);
-  if (p_success <= 0.0) return n;
-  return (1.0 - std::pow(1.0 - p_success, n)) / p_success;
 }
 
 // --- rate / waveform fallback ------------------------------------------------

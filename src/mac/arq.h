@@ -1,7 +1,7 @@
-// Link-layer ARQ for interscatter uplinks (ROADMAP item 4's reliability
-// half): fragmentation with per-fragment CRC-16, selective-repeat
-// retransmission with capped exponential backoff and per-message retry
-// budgets, and a rate-fallback ladder for graceful degradation.
+// Link-layer ARQ for interscatter uplinks: fragment accounting,
+// selective-repeat retransmission with capped exponential backoff and
+// per-message retry budgets, and a rate-fallback ladder for graceful
+// degradation.
 //
 // Why it exists: a failed channel::link draw used to be a lost reply —
 // nothing retried, backed off, or degraded. Implanted fleets live with
@@ -9,16 +9,17 @@
 // ISM jamming), so delivery has to be guaranteed by the link layer, not
 // hoped for per poll.
 //
-// The pieces are deliberately separable:
-//   - fragment/reassemble: pure byte-level framing (header + CRC-16 X.25,
-//     reusing phycommon/crc), usable by any transport;
+// The network simulator drives every piece here per TDMA slot:
+//   - fragment_count() + kFragmentOverheadBytes: how many fragments a
+//     message needs and what each costs on air (the simulator draws
+//     fragment outcomes from the closed-form PER; no bytes are framed);
 //   - ArqConfig + backoff_slots(): the retry policy, closed over small
-//     integers so the network simulator can drive it per TDMA slot;
-//   - arq_delivery_probability()/arq_expected_attempts(): closed-form
-//     geometric-retry model the simulator is validated against in tests;
+//     integers;
 //   - RateFallbackController: consecutive-failure downshift through the
 //     DSSS ladder 11 -> 5.5 -> 2 -> 1 Mbps (optionally -> ZigBee O-QPSK
 //     where the tag supports both waveforms), probing back up on success.
+// The geometric-retry model 1 - (1-p)^n that the simulator's delivery ratio
+// must match lives in resilience_test as a test oracle.
 //
 // Determinism: none of these types hold RNG state. All randomness stays in
 // the caller (the network sim draws from per-(tag, round) substreams), so
@@ -26,33 +27,19 @@
 // digest contract of DESIGN.md survives.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <vector>
 
-#include "phycommon/bits.h"
 #include "wifi/rates.h"
 
 namespace itb::mac {
 
-using itb::phy::Bytes;
-
 // --- fragmentation -----------------------------------------------------------
 
-/// Wire layout of one fragment:
-///   [message_seq, frag_index, frag_count, payload..., crc16 lo, crc16 hi]
-/// where the CRC-16 (X.25, phy::crc16_x25) covers header + payload.
-struct FragmentHeader {
-  std::uint8_t message_seq = 0;  ///< message identity (wraps mod 256)
-  std::uint8_t frag_index = 0;
-  std::uint8_t frag_count = 1;
-};
-
-constexpr std::size_t kFragmentHeaderBytes = 3;
-constexpr std::size_t kFragmentCrcBytes = 2;
-constexpr std::size_t kFragmentOverheadBytes =
-    kFragmentHeaderBytes + kFragmentCrcBytes;
-/// frag_index/frag_count are one byte each.
+/// On-air cost of one fragment beyond its payload: the 3-byte header a tag
+/// would send (message seq, fragment index, fragment count) plus its CRC-16.
+constexpr std::size_t kFragmentOverheadBytes = 3 + 2;
+/// The fragment index and count are one byte each.
 constexpr std::size_t kMaxFragmentsPerMessage = 255;
 
 /// Number of fragments a message of `message_bytes` splits into at
@@ -61,46 +48,6 @@ constexpr std::size_t kMaxFragmentsPerMessage = 255;
 /// still occupies one delivery slot.
 std::size_t fragment_count(std::size_t message_bytes,
                            std::size_t fragment_payload_bytes);
-
-/// Serializes fragment `index` of `message`. Throws std::invalid_argument
-/// when index is out of range or the message needs > 255 fragments.
-Bytes make_fragment(const Bytes& message, std::size_t fragment_payload_bytes,
-                    std::uint8_t message_seq, std::size_t index);
-
-struct ParsedFragment {
-  FragmentHeader header;
-  Bytes payload;
-};
-
-/// CRC-checked parse of one fragment; nullopt on truncation, CRC failure,
-/// or an inconsistent header (index >= count, count == 0).
-std::optional<ParsedFragment> parse_fragment(const Bytes& wire);
-
-/// Selective-repeat reassembly: accepts fragments in any order, tolerates
-/// duplicates, and reports exactly which indices are still missing so the
-/// sender retransmits only those.
-class Reassembler {
- public:
-  /// Feeds one parsed fragment. Returns true when the fragment was new
-  /// (first copy of its index for the current message); false for
-  /// duplicates or a fragment of a different message_seq than the one in
-  /// progress (stale retransmission).
-  bool accept(const ParsedFragment& f);
-
-  bool complete() const;
-  /// Reassembled message bytes; empty until complete().
-  Bytes message() const;
-  /// Fragment indices not yet received (ascending); empty until the first
-  /// accept() establishes the fragment count.
-  std::vector<std::uint8_t> missing() const;
-  /// Drops any partial state so the next accept() starts a new message.
-  void reset();
-
- private:
-  bool started_ = false;
-  std::uint8_t seq_ = 0;
-  std::vector<std::optional<Bytes>> parts_;
-};
 
 // --- retry policy ------------------------------------------------------------
 
@@ -120,7 +67,7 @@ struct ArqConfig {
 
   /// Copy with degenerate values clamped (mirrors
   /// ReservationConfig::validated()): max_attempts >= 1, cap >= base,
-  /// fragment count bounded by the one-byte wire header.
+  /// fragment count bounded by the one-byte fragment index.
   ArqConfig validated() const;
 };
 
@@ -128,16 +75,6 @@ struct ArqConfig {
 /// (>= 1) failures: min(cap, base * 2^(failures-1)); 0 when base is 0.
 std::size_t backoff_slots(const ArqConfig& cfg,
                           std::size_t consecutive_failures);
-
-/// Closed-form geometric-retry model: probability a fragment is delivered
-/// within `max_attempts` attempts when each attempt independently succeeds
-/// with probability `p_success`: 1 - (1-p)^n. The simulator's measured
-/// delivery ratio must match this at fixed per-attempt PER (tested).
-double arq_delivery_probability(double p_success, std::size_t max_attempts);
-
-/// Expected attempts consumed per fragment (delivered or abandoned):
-/// sum_{k=1..n} (1-p)^(k-1) = (1 - (1-p)^n) / p, with the p -> 0 limit n.
-double arq_expected_attempts(double p_success, std::size_t max_attempts);
 
 // --- rate / waveform fallback ------------------------------------------------
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/rng.h"
+
 namespace itb::mac {
 
 namespace {
@@ -21,11 +23,10 @@ ReservationConfig ReservationConfig::validated() const {
   return out;
 }
 
-ReservationOutcome reservation_outcome(const ReservationConfig& cfg) {
-  // Clamped locals, not a validated() copy: the copy would duplicate the
-  // advertiser timing's channel list on every call.
-  const Real busy = clamp_probability(cfg.channel_busy_probability);
-  const Real cts = clamp_probability(cfg.cts_detection_probability);
+ReservationOutcome reservation_outcome(const ReservationConfig& raw) {
+  const ReservationConfig cfg = raw.validated();
+  const Real busy = cfg.channel_busy_probability;
+  const Real cts = cfg.cts_detection_probability;
   ReservationOutcome out;
   switch (cfg.scheme) {
     case ReservationScheme::kNone:

@@ -4,13 +4,19 @@
 //      the BLE packet (needs driver/firmware coordination).
 //   2. Tag-initiated RTS on the channel-37 advertisement; the Wi-Fi device
 //      answers CTS, reserving 2*dT + T_bluetooth for the channel 38/39
-//      advertisements.
+//      advertisements (dT is the advertiser's inter-channel gap, ~400 us on
+//      TI chipsets, and T_bluetooth the advertising packet's airtime).
 //   3. Data-as-RTS: the first backscattered packet carries data; its
 //      CTS-to-Self response reserves the rest of the event.
+//
+// Both evaluators model one advertising event as three slots and never
+// need the event's absolute timing, so the config carries none.
 #pragma once
 
-#include "ble/advertiser.h"
-#include "dsp/rng.h"
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
+
 #include "dsp/types.h"
 
 namespace itb::mac {
@@ -26,7 +32,6 @@ enum class ReservationScheme {
 
 struct ReservationConfig {
   ReservationScheme scheme = ReservationScheme::kNone;
-  itb::ble::AdvertiserTiming timing{};
   Real ble_packet_us = 376.0;  ///< 47-byte advertising packet at 1 Mbps
   /// Probability that the Wi-Fi channel is busy at any instant (ambient load).
   /// Values outside [0, 1] are clamped by the evaluators (NaN -> 0).
@@ -40,6 +45,9 @@ struct ReservationConfig {
   /// transmission counts / collision fractions above 1.
   ReservationConfig validated() const;
 };
+// validated() copies the config on every reservation_outcome() call, so it
+// must stay a plain value: no vector or string field.
+static_assert(std::is_trivially_copyable_v<ReservationConfig>);
 
 /// Closed-form per-opportunity outcome of a reservation scheme over one
 /// advertising event (three advertisements on channels 37/38/39). The

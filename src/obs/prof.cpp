@@ -65,8 +65,6 @@ std::int64_t now_ns() {
 
 void prof_enable(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
-bool prof_enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 void prof_reset() {
   ZoneNames& n = names();
   const std::lock_guard<std::mutex> lock(n.mu);
@@ -101,8 +99,6 @@ ProfZone::ProfZone(std::size_t zone_id) {
   t_child_ns_stack.push_back(0);
   start_ns_ = now_ns();
 }
-
-ProfZone::ProfZone(const char* name) : ProfZone(prof_zone(name)) {}
 
 ProfZone::~ProfZone() {
   if (id_ == kInactive) return;

@@ -30,7 +30,6 @@ namespace itb::obs {
 /// Globally enables/disables zone timing. Off by default. Toggling does not
 /// clear accumulated times (see prof_reset()).
 void prof_enable(bool on);
-bool prof_enabled();
 
 /// Zeroes every zone's accumulators (registered names survive).
 void prof_reset();
@@ -43,8 +42,6 @@ class ProfZone {
  public:
   /// O(1): starts timing zone `zone_id` if profiling is enabled.
   explicit ProfZone(std::size_t zone_id);
-  /// Convenience for cold paths: interns `name` on every construction.
-  explicit ProfZone(const char* name);
   ~ProfZone();
 
   ProfZone(const ProfZone&) = delete;

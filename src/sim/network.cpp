@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -150,9 +149,7 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
 
   // --- per-tag link budgets (pure geometry + closed forms) -----------------
   // Nearest helper/AP come from spatial-hash grids (bit-identical to the
-  // brute-force scans, including index-order tie-breaks), and the
-  // impairment preset — a function of the group's carrier only — is
-  // resolved once per Wi-Fi channel instead of once per tag. The loop body
+  // brute-force scans, including index-order tie-breaks). The loop body
   // is a pure function of (cfg, placement) writing disjoint links_[t]
   // slots, so it fans out over fixed-size blocks: thread count changes
   // wall time, never results.
@@ -160,22 +157,6 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   pl.exponent = cfg_.pathloss_exponent;
   const SpatialHashGrid helper_grid(placement_.helpers);
   const SpatialHashGrid ap_grid(placement_.aps);
-  std::vector<std::optional<itb::channel::ImpairmentConfig>> group_preset(
-      num_groups);
-  if (cfg_.impairment_preset != itb::channel::ImpairmentPreset::kNone) {
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      group_preset[g] = itb::channel::make_impairment_preset(
-          cfg_.impairment_preset, 11e6,
-          itb::ble::wifi_channel_hz(cfg_.wifi_channels[g]));
-    }
-  }
-  // Radio impairments degrade every reply before the PER mapping. The
-  // preset is resolved at the group's carrier; 1 us DSSS symbols set the
-  // timescale for CFO/phase-noise/delay-spread error accumulation.
-  const auto impair = [&](Real snr_db, std::size_t g) {
-    if (!group_preset[g]) return snr_db;
-    return itb::channel::impaired_snr_db(*group_preset[g], snr_db, 1e6);
-  };
   const auto downlink_miss = [&](Real ap_distance_m) {
     const Real rssi = itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0,
                                                     2.0, pl, ap_distance_m) -
@@ -211,7 +192,7 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
         itb::channel::backscatter_rssi(budget, link.ap_distance_m);
     link.reply_rssi_dbm = s.rssi_dbm;
     link.link_down = s.link_down;
-    link.snr_db = link.link_down ? s.snr_db : impair(s.snr_db, g);
+    link.snr_db = s.snr_db;
 
     // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
     // after the tissue loss; below sensitivity the tag never hears it.
@@ -254,7 +235,7 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
         if (fs.link_down) {
           link.has_failover = false;
         } else {
-          link.failover_snr_db = impair(fs.snr_db, g);
+          link.failover_snr_db = fs.snr_db;
           link.failover_downlink_miss_prob = downlink_miss(best);
         }
       }
@@ -959,7 +940,6 @@ std::vector<SpotCheckResult> NetworkCoordinator::spot_check_waveform(
     s.tag_medium_loss_db = cfg_.tag_medium_loss_db;
     s.pathloss_exponent = cfg_.pathloss_exponent;
     s.rx_noise_figure_db = cfg_.rx_noise_figure_db;
-    s.impairment_preset = cfg_.impairment_preset;
     s.seed = itb::core::trial_seed(cfg_.seed, t, 0xC0FFEE);
 
     const itb::core::InterscatterSystem sys(s);

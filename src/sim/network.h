@@ -27,18 +27,22 @@
 //     busy probability, brownouts power tags off, SNR slumps degrade every
 //     reply. Fault gating is slot-atomic: the AP/brownout state sampled at
 //     query time holds for the whole poll.
-//   ARQ — mac/arq selective-repeat: a message fragments into CRC-framed
-//     pieces, each fragment retries up to max_attempts with capped
-//     exponential backoff (idled TDMA slots), bounded by a per-message
-//     retransmission budget. Without ARQ every poll is a one-shot message.
+//   ARQ — mac/arq selective-repeat: a message splits into
+//     mac::fragment_count() fragments, each paying its header and CRC on
+//     air (mac::kFragmentOverheadBytes), and each fragment retries up to
+//     max_attempts with capped exponential backoff (idled TDMA slots),
+//     bounded by a per-message retransmission budget. Without ARQ every poll is a one-shot message.
 //   Fallback — a per-tag mac::RateFallbackController walks the DSSS ladder
 //     (optionally into ZigBee) on consecutive decode failures/collisions
 //     and probes back up on success; attempt airtime, PER, and IC energy
 //     all follow the active rung.
 //
 // Fidelity: every link outcome is drawn at *budget level* (channel/link.h
-// closed forms), so 5000 tags simulate in seconds. spot_check_waveform()
-// optionally re-simulates a deterministic sample of links through the full
+// closed forms for an ideal radio), so 5000 tags simulate in seconds. The
+// RF impairment presets exist only on the waveform path: no closed-form
+// SNR penalty reproduces the shifts and error floors they cause there
+// (DESIGN.md "RF impairment chain"). spot_check_waveform() optionally
+// re-simulates a deterministic sample of links through the full, ideal
 // waveform pipeline (core::InterscatterSystem) and reports agreement — the
 // network-level extension of the budget-vs-waveform cross-check in
 // tests/full_loop_test.cpp.
@@ -60,7 +64,6 @@
 #include <vector>
 
 #include "backscatter/ic_power.h"
-#include "channel/impairments.h"
 #include "channel/link.h"
 #include "mac/arq.h"
 #include "mac/query_reply.h"
@@ -95,13 +98,6 @@ struct NetworkConfig {
   /// How much the tag's SSB suppresses the mirror sideband (paper measures
   /// ~20 dB; Fig. 6).
   Real ssb_sideband_suppression_db = 20.0;
-  /// RF impairment preset applied to every link draw: each reply's SNR is
-  /// degraded by the closed-form impairment penalty
-  /// (channel::impaired_snr_db) before the PER mapping, so network-scale
-  /// results inherit PHY-faithful degradation. spot_check_waveform() runs
-  /// its sampled links through the same preset at waveform level.
-  itb::channel::ImpairmentPreset impairment_preset =
-      itb::channel::ImpairmentPreset::kNone;
   // --- link budget inputs (shared with channel/link.h) -----------------
   Real ble_tx_power_dbm = 10.0;
   Real pathloss_exponent = 2.2;

@@ -32,10 +32,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   max_us = std::max(max_us, other.max_us);
 }
 
-double LatencyHistogram::mean_us() const {
-  return total == 0 ? 0.0 : sum_us / static_cast<double>(total);
-}
-
 double LatencyHistogram::quantile_us(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -40,7 +40,6 @@ struct LatencyHistogram {
 
   void record(double us);
   void merge(const LatencyHistogram& other);
-  double mean_us() const;
   /// Upper edge of the bin holding the q-quantile sample (q in [0, 1]);
   /// q = 0 is the lowest sample's bin. 0 when empty.
   double quantile_us(double q) const;

@@ -37,13 +37,4 @@ CVec despread(std::span<const Complex> chips) {
   return out;
 }
 
-Real barker_correlation(std::span<const Complex> window) {
-  assert(window.size() >= kBarker.size());
-  Complex acc{0.0, 0.0};
-  for (std::size_t k = 0; k < kBarker.size(); ++k) {
-    acc += window[k] * static_cast<Real>(kBarker[k]);
-  }
-  return std::abs(acc);
-}
-
 }  // namespace itb::wifi

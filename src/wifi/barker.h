@@ -26,8 +26,4 @@ CVec spread(std::span<const Complex> symbols);
 /// ideal channel returns the original symbols.
 CVec despread(std::span<const Complex> chips);
 
-/// Correlation magnitude of an 11-chip window against the Barker code;
-/// used for chip-timing acquisition.
-Real barker_correlation(std::span<const Complex> window);
-
 }  // namespace itb::wifi

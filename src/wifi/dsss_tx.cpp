@@ -15,27 +15,6 @@ using itb::phy::DsssScrambler;
 
 DsssTransmitter::DsssTransmitter(const DsssTxConfig& cfg) : cfg_(cfg) {}
 
-Bits DsssTransmitter::scrambled_psdu_bits(const Bytes& psdu) const {
-  // Continue the scrambler through preamble + header exactly as modulate()
-  // does, then return only the PSDU span.
-  DsssScrambler scrambler(kLongPreambleScramblerSeed);
-  Bits preamble(kSyncBits, 1);
-  const Bits sfd = sfd_bits();
-  preamble.insert(preamble.end(), sfd.begin(), sfd.end());
-
-  PlcpHeader hdr;
-  hdr.rate = cfg_.rate;
-  hdr.service = PlcpHeader::service_for(cfg_.rate, psdu.size());
-  hdr.length_us = length_field_us(cfg_.rate, psdu.size());
-  const Bits header = build_plcp_header_bits(hdr);
-
-  Bits head = preamble;
-  head.insert(head.end(), header.begin(), header.end());
-  (void)scrambler.scramble(head);
-
-  return scrambler.scramble(itb::phy::bytes_to_bits_lsb_first(psdu));
-}
-
 DsssFrame DsssTransmitter::modulate(const Bytes& psdu) const {
   static const std::size_t kZone = obs::prof_zone("phy.dsss_tx");
   const obs::ProfZone prof(kZone);

@@ -44,10 +44,6 @@ class DsssTransmitter {
   /// Modulates a PSDU into a frame (PLCP preamble + header + data).
   DsssFrame modulate(const Bytes& psdu) const;
 
-  /// The scrambled air bits of the PSDU portion (useful for the tag, which
-  /// runs the same scrambler in its baseband processor).
-  Bits scrambled_psdu_bits(const Bytes& psdu) const;
-
   const DsssTxConfig& config() const { return cfg_; }
 
  private:

@@ -1,24 +1,12 @@
 // Tests for the link-layer ARQ building blocks (src/mac/arq.h): fragment
-// framing + CRC, selective-repeat reassembly, the capped-exponential
-// backoff policy, the closed-form geometric-retry model, and the
-// rate/waveform fallback ladder.
+// counting, the capped-exponential backoff policy and the rate/waveform
+// fallback ladder.
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <stdexcept>
 
 #include "mac/arq.h"
 
 namespace itb::mac {
 namespace {
-
-Bytes test_message(std::size_t n) {
-  Bytes m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m[i] = static_cast<std::uint8_t>(i * 37 + 11);
-  }
-  return m;
-}
 
 // --- fragmentation -----------------------------------------------------------
 
@@ -28,76 +16,6 @@ TEST(ArqFragment, CountCoversMessage) {
   EXPECT_EQ(fragment_count(30, 10), 3u);
   EXPECT_EQ(fragment_count(31, 10), 4u);
   EXPECT_EQ(fragment_count(10, 10), 1u);
-}
-
-TEST(ArqFragment, RoundTripsThroughParse) {
-  const Bytes msg = test_message(25);
-  for (std::size_t i = 0; i < fragment_count(msg.size(), 10); ++i) {
-    const Bytes wire = make_fragment(msg, 10, 42, i);
-    const auto parsed = parse_fragment(wire);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->header.message_seq, 42);
-    EXPECT_EQ(parsed->header.frag_index, i);
-    EXPECT_EQ(parsed->header.frag_count, 3);
-  }
-  // The last fragment carries the 5-byte remainder.
-  const auto tail = parse_fragment(make_fragment(msg, 10, 42, 2));
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->payload.size(), 5u);
-}
-
-TEST(ArqFragment, CrcCatchesCorruption) {
-  const Bytes msg = test_message(12);
-  Bytes wire = make_fragment(msg, 0, 7, 0);
-  ASSERT_TRUE(parse_fragment(wire).has_value());
-  // Flip one payload bit: the CRC-16 must reject it.
-  wire[kFragmentHeaderBytes] ^= 0x10;
-  EXPECT_FALSE(parse_fragment(wire).has_value());
-  wire[kFragmentHeaderBytes] ^= 0x10;
-  // Corrupt the header too — covered by the same CRC.
-  wire[0] ^= 0x01;
-  EXPECT_FALSE(parse_fragment(wire).has_value());
-}
-
-TEST(ArqFragment, ParseRejectsTruncationAndBadHeaders) {
-  EXPECT_FALSE(parse_fragment({}).has_value());
-  EXPECT_FALSE(parse_fragment({1, 2, 3, 4}).has_value());  // < overhead
-  // index >= count and count == 0 are structurally invalid.
-  Bytes wire = make_fragment(test_message(4), 0, 1, 0);
-  wire[1] = 5;  // frag_index beyond frag_count
-  EXPECT_FALSE(parse_fragment(wire).has_value());
-}
-
-TEST(ArqFragment, MakeFragmentValidatesArguments) {
-  const Bytes msg = test_message(20);
-  EXPECT_THROW(make_fragment(msg, 10, 0, 2), std::invalid_argument);
-  EXPECT_THROW(make_fragment(test_message(1000), 1, 0, 0),
-               std::invalid_argument);  // > 255 fragments
-}
-
-TEST(ArqReassembler, SelectiveRepeatOutOfOrderWithDuplicates) {
-  const Bytes msg = test_message(25);
-  Reassembler rx;
-  EXPECT_FALSE(rx.complete());
-  const auto feed = [&](std::size_t i) {
-    return rx.accept(*parse_fragment(make_fragment(msg, 10, 3, i)));
-  };
-  EXPECT_TRUE(feed(2));
-  EXPECT_EQ(rx.missing(), (std::vector<std::uint8_t>{0, 1}));
-  EXPECT_TRUE(feed(0));
-  EXPECT_FALSE(feed(0));  // duplicate: ignored, not double-counted
-  EXPECT_EQ(rx.missing(), (std::vector<std::uint8_t>{1}));
-  EXPECT_FALSE(rx.complete());
-  EXPECT_TRUE(feed(1));
-  EXPECT_TRUE(rx.complete());
-  EXPECT_EQ(rx.message(), msg);
-
-  // A stale fragment of another message_seq is rejected while in progress.
-  Reassembler rx2;
-  EXPECT_TRUE(rx2.accept(*parse_fragment(make_fragment(msg, 10, 8, 0))));
-  EXPECT_FALSE(rx2.accept(*parse_fragment(make_fragment(msg, 10, 9, 1))));
-  rx2.reset();
-  EXPECT_TRUE(rx2.accept(*parse_fragment(make_fragment(msg, 10, 9, 1))));
 }
 
 // --- retry policy ------------------------------------------------------------
@@ -127,20 +45,6 @@ TEST(ArqConfigTest, ValidatedClampsDegenerateValues) {
   EXPECT_EQ(v.max_attempts, 1u);
   EXPECT_GE(v.backoff_cap_slots, v.backoff_base_slots);
   EXPECT_EQ(v.fragment_bytes, 0u);  // degrades to no fragmentation
-}
-
-TEST(ArqModel, ClosedFormsMatchGeometricSeries) {
-  EXPECT_DOUBLE_EQ(arq_delivery_probability(1.0, 3), 1.0);
-  EXPECT_DOUBLE_EQ(arq_delivery_probability(0.0, 3), 0.0);
-  EXPECT_NEAR(arq_delivery_probability(0.5, 3), 0.875, 1e-12);
-  // Hand-summed expected attempts at p = 0.5, n = 3:
-  // 1*0.5 + 2*0.25 + 3*0.25 = 1.75 = (1 - 0.5^3) / 0.5.
-  EXPECT_NEAR(arq_expected_attempts(0.5, 3), 1.75, 1e-12);
-  EXPECT_DOUBLE_EQ(arq_expected_attempts(0.0, 5), 5.0);
-  EXPECT_DOUBLE_EQ(arq_expected_attempts(1.0, 5), 1.0);
-  // More attempts never hurt delivery.
-  EXPECT_GT(arq_delivery_probability(0.3, 8),
-            arq_delivery_probability(0.3, 2));
 }
 
 // --- fallback ladder ---------------------------------------------------------

@@ -1,11 +1,9 @@
 // Tests for the BLE substrate: channel map, advertising packets, GFSK, the
-// single-tone payload solver (paper §2.2), device profiles and advertiser
-// timing.
+// single-tone payload solver (paper §2.2) and device profiles.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "ble/advertiser.h"
 #include "ble/channel_map.h"
 #include "ble/device_profile.h"
 #include "ble/gfsk.h"
@@ -305,26 +303,6 @@ TEST(DeviceProfile, TxPowerScalesAmplitude) {
   const itb::dsp::CVec loud =
       apply_impairments(clean, p, mod.config().sample_rate_hz, rng);
   EXPECT_NEAR(itb::dsp::mean_power(loud) / itb::dsp::mean_power(clean), 100.0, 1.0);
-}
-
-// --- advertiser timing ----------------------------------------------------------
-
-TEST(Advertiser, ScheduleCoversThreeChannels) {
-  AdvertiserTiming t;
-  const auto slots = advertising_schedule(t, 376.0, 2);
-  ASSERT_EQ(slots.size(), 6u);
-  EXPECT_EQ(slots[0].channel_index, 37u);
-  EXPECT_EQ(slots[1].channel_index, 38u);
-  EXPECT_EQ(slots[2].channel_index, 39u);
-  EXPECT_DOUBLE_EQ(slots[0].start_us, 0.0);
-  EXPECT_DOUBLE_EQ(slots[1].start_us, 376.0 + 400.0);
-  EXPECT_DOUBLE_EQ(slots[3].start_us, 20000.0);
-}
-
-TEST(Advertiser, ReservationWindowFormula) {
-  AdvertiserTiming t;
-  // Paper §2.3.3: 2 * dT + T_bluetooth.
-  EXPECT_DOUBLE_EQ(reservation_window_us(t, 376.0), 1176.0);
 }
 
 }  // namespace

@@ -129,14 +129,6 @@ TEST(Tissue, MuscleAttenuationMatchesLiterature) {
   EXPECT_LT(db_per_cm, 6.0);
 }
 
-TEST(Tissue, GreyMatterCloseToMuscle) {
-  // The paper's rationale for the pork-chop substitute: grey matter and
-  // muscle have similar dielectric behaviour at 2.4 GHz.
-  const Real muscle = tissue_loss_db(muscle_2g4(), 2.45e9, 0.01);
-  const Real grey = tissue_loss_db(grey_matter_2g4(), 2.45e9, 0.01);
-  EXPECT_NEAR(muscle, grey, 1.0);
-}
-
 TEST(Tissue, SalineIsLossierThanMuscle) {
   EXPECT_GT(tissue_loss_db(saline_2g4(), 2.45e9, 0.01),
             tissue_loss_db(muscle_2g4(), 2.45e9, 0.01));
@@ -152,13 +144,6 @@ TEST(Tissue, InterfaceLossPositiveAndModest) {
   const Real loss = interface_loss_db(muscle_2g4(), 2.45e9);
   EXPECT_GT(loss, 0.5);
   EXPECT_LT(loss, 6.0);
-}
-
-TEST(Tissue, RoundTripDoublesOneWay) {
-  const TissueProperties t = muscle_2g4();
-  const Real rt = round_trip_implant_loss_db(t, 2.45e9, 0.002);
-  const Real ow = tissue_loss_db(t, 2.45e9, 0.002) + interface_loss_db(t, 2.45e9);
-  EXPECT_NEAR(rt, 2.0 * ow, 1e-9);
 }
 
 // --- antennas ------------------------------------------------------------------------

@@ -110,10 +110,6 @@ TEST(Interscatter, TissueLossShrinksRange) {
   EXPECT_GT(a.rssi_dbm, b.rssi_dbm + 15.0);
 }
 
-TEST(Interscatter, VersionString) {
-  EXPECT_NE(version().find("interscatter"), std::string::npos);
-}
-
 // --- downlink ---------------------------------------------------------------------
 
 TEST(Downlink, CleanAtShortRange) {

@@ -16,7 +16,6 @@
 #include "dsp/rng.h"
 #include "dsp/spectrum.h"
 #include "dsp/units.h"
-#include "sim/network.h"
 #include "wifi/dsss_rx.h"
 #include "wifi/dsss_tx.h"
 #include "wifi/ofdm_rx.h"
@@ -203,59 +202,6 @@ TEST(ImpairmentChain, SroShiftsSamplingInstants) {
   ASSERT_GT(y.size(), 90000u);
   EXPECT_NEAR(y[90000].real(), x[90090].real(), 1e-12);
   EXPECT_NEAR(y[90000].imag(), x[90090].imag(), 1e-12);
-}
-
-// --- closed-form penalty --------------------------------------------------
-
-TEST(ImpairedSnr, IdealRadioCostsNothing) {
-  channel::ImpairmentConfig cfg;
-  EXPECT_NEAR(channel::impaired_snr_db(cfg, 20.0, 1e6), 20.0, 1e-9);
-}
-
-TEST(ImpairedSnr, MonotoneInEachKnob) {
-  channel::ImpairmentConfig cfg;
-  // CFO.
-  Real prev = 1e9;
-  for (const Real ppm : {0.0, 10.0, 40.0, 160.0}) {
-    channel::ImpairmentConfig c = cfg;
-    c.cfo_ppm = ppm;
-    const Real s = channel::impaired_snr_db(c, 20.0, 1e6);
-    EXPECT_LE(s, prev + 1e-12) << "cfo " << ppm;
-    prev = s;
-  }
-  // Quantizer coarseness (fewer bits = worse).
-  prev = -1e9;
-  for (const unsigned bits : {2u, 4u, 6u, 10u}) {
-    channel::ImpairmentConfig c = cfg;
-    c.adc_bits = bits;
-    const Real s = channel::impaired_snr_db(c, 20.0, 1e6);
-    EXPECT_GE(s, prev - 1e-12) << "bits " << bits;
-    prev = s;
-  }
-  // Delay spread.
-  prev = 1e9;
-  for (const Real ds : {0.0, 25e-9, 100e-9, 400e-9}) {
-    channel::ImpairmentConfig c = cfg;
-    channel::MultipathConfig mp;
-    mp.delay_spread_s = ds;
-    c.multipath = mp;
-    const Real s = channel::impaired_snr_db(c, 20.0, 1e6);
-    EXPECT_LE(s, prev + 1e-12) << "delay spread " << ds;
-    prev = s;
-  }
-}
-
-TEST(ImpairedSnr, PresetsOrderedBySeverity) {
-  const Real snr = 20.0;
-  const Real ward = channel::impaired_snr_db(
-      channel::ward_mobility_preset(11e6), snr, 1e6);
-  const Real card = channel::impaired_snr_db(
-      channel::card_to_card_preset(11e6), snr, 1e6);
-  EXPECT_LT(ward, snr);
-  EXPECT_LT(card, snr);
-  // The ward's long delay spread and weak LOS must cost more than the
-  // near-field card-to-card link.
-  EXPECT_LT(ward, card);
 }
 
 // --- typed frequency offset (ppm/Hz unification) --------------------------
@@ -450,31 +396,6 @@ TEST(InterscatterImpaired, PresetResolvesAndFrameStillDecodesUpClose) {
   const auto r = sys.simulate_frame(psdu);
   EXPECT_TRUE(r.detected);
   EXPECT_TRUE(r.payload_ok);
-}
-
-TEST(NetworkImpaired, PresetDegradesLinksDeterministically) {
-  sim::NetworkConfig cfg;
-  cfg.topology.num_tags = 64;
-  cfg.rounds = 2;
-  sim::NetworkConfig impaired = cfg;
-  impaired.impairment_preset = channel::ImpairmentPreset::kWardMobility;
-
-  const sim::NetworkCoordinator clean(cfg);
-  const sim::NetworkCoordinator dirty(impaired);
-  // Every link's SNR is degraded, never improved.
-  for (std::size_t t = 0; t < clean.links().size(); ++t) {
-    EXPECT_LE(dirty.links()[t].snr_db, clean.links()[t].snr_db + 1e-12);
-    EXPECT_GE(dirty.links()[t].reply_per, clean.links()[t].reply_per - 1e-12);
-  }
-  // And the run stays thread-count invariant.
-  sim::NetworkConfig one = impaired;
-  one.num_threads = 1;
-  sim::NetworkConfig eight = impaired;
-  eight.num_threads = 8;
-  const auto a = sim::NetworkCoordinator(one).run();
-  const auto b = sim::NetworkCoordinator(eight).run();
-  EXPECT_EQ(a.replies_received, b.replies_received);
-  EXPECT_EQ(a.collisions, b.collisions);
 }
 
 }  // namespace

@@ -212,7 +212,7 @@ TEST(DataPacketExtension, SynthesizedOneMbpsFrameDecodes) {
 // --- impairment monotonicity properties -----------------------------------------------
 // PER at fixed SNR must be non-decreasing in each impairment magnitude.
 // Monte-Carlo estimates carry sampling noise, so each step is allowed a
-// small slack; the closed-form impaired_snr_db is asserted exactly.
+// small slack.
 
 namespace {
 
@@ -271,25 +271,6 @@ TEST(ImpairmentMonotone, PerNonDecreasingInDelaySpread) {
     EXPECT_GE(per, prev - 0.15) << "delay spread ns " << ds_ns;
     prev = std::max(prev, per);
   }
-}
-
-TEST(ImpairmentMonotone, ClosedFormPenaltyMatchesDirections) {
-  // The budget-level model must agree with the waveform trend directions.
-  channel::ImpairmentConfig coarse;
-  coarse.adc_bits = 2;
-  channel::ImpairmentConfig fine;
-  fine.adc_bits = 12;
-  EXPECT_LT(channel::impaired_snr_db(coarse, 10.0, 1e6),
-            channel::impaired_snr_db(fine, 10.0, 1e6));
-
-  channel::ImpairmentConfig big_ds;
-  channel::MultipathConfig mp;
-  mp.delay_spread_s = 500e-9;
-  big_ds.multipath = mp;
-  channel::ImpairmentConfig small_ds = big_ds;
-  small_ds.multipath->delay_spread_s = 30e-9;
-  EXPECT_LT(channel::impaired_snr_db(big_ds, 10.0, 1e6),
-            channel::impaired_snr_db(small_ds, 10.0, 1e6));
 }
 
 // --- interscatter device count scaling (§2.5) -----------------------------------------

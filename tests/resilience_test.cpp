@@ -110,6 +110,13 @@ NetworkConfig clean_grid_config() {
   return cfg;
 }
 
+// Geometric-retry oracle: probability that a fragment is delivered within
+// `max_attempts` independent attempts that each succeed with probability
+// `p_success`, 1 - (1-p)^n.
+double arq_delivery_probability(double p_success, std::size_t max_attempts) {
+  return 1.0 - std::pow(1.0 - p_success, static_cast<double>(max_attempts));
+}
+
 TEST(Resilience, ArqDeliveryRatioMatchesGeometricClosedForm) {
   // Per-attempt success is pinned by the downlink error rate (reply links
   // are near-perfect), so the measured delivery ratio must match
@@ -128,7 +135,7 @@ TEST(Resilience, ArqDeliveryRatioMatchesGeometricClosedForm) {
   const NetworkStats s = NetworkCoordinator(cfg).run();
   const std::uint64_t completed = s.messages_delivered + s.messages_dropped;
   ASSERT_GT(completed, 1000u);
-  EXPECT_NEAR(s.delivery_ratio, mac::arq_delivery_probability(p, attempts),
+  EXPECT_NEAR(s.delivery_ratio, arq_delivery_probability(p, attempts),
               0.02);
   // E[attempts | delivered] = sum k p q^{k-1} / (1 - q^n).
   double cond = 0.0;
@@ -136,7 +143,7 @@ TEST(Resilience, ArqDeliveryRatioMatchesGeometricClosedForm) {
     cond += static_cast<double>(k) * p *
             std::pow(1.0 - p, static_cast<double>(k - 1));
   }
-  cond /= mac::arq_delivery_probability(p, attempts);
+  cond /= arq_delivery_probability(p, attempts);
   EXPECT_NEAR(s.retry_histogram.mean_attempts(), cond, 0.1);
   EXPECT_GT(s.retransmissions, 0u);
 
