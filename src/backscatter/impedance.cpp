@@ -20,8 +20,6 @@ std::complex<Real> Load::impedance(Real freq_hz) const {
       return {0.0, 0.0};
     case LoadKind::kResistor:
       return {value, 0.0};
-    case LoadKind::kNetwork:
-      return network_impedance;
   }
   return {0.0, 0.0};
 }
@@ -84,29 +82,6 @@ ImpedanceNetwork ideal_network() {
     } else {
       n.loads[i] = {LoadKind::kCapacitor, -1.0 / (w * x)};
     }
-  }
-  return n;
-}
-
-ImpedanceNetwork retuned_network(std::complex<Real> antenna_impedance) {
-  // Solve each load exactly from the target reflection coefficient:
-  //   Gamma = (Za - Zc)/(Za + Zc)  =>  Zc = Za (1 - Gamma)/(1 + Gamma).
-  // For a complex (lossy) antenna the exact solution may demand a negative
-  // resistance; passivity then caps the achievable |Gamma|, so we keep the
-  // reactive part and clamp the resistance at zero — the residual shows up
-  // as constellation error/loss, exactly as on a real bench.
-  ImpedanceNetwork n;
-  n.antenna_impedance = antenna_impedance;
-  const std::array<Real, 4> thetas = {itb::dsp::kPi / 4.0, 3.0 * itb::dsp::kPi / 4.0,
-                                      -3.0 * itb::dsp::kPi / 4.0,
-                                      -itb::dsp::kPi / 4.0};
-  for (std::size_t i = 0; i < 4; ++i) {
-    const std::complex<Real> gamma = std::polar<Real>(1.0, thetas[i]);
-    std::complex<Real> zc =
-        antenna_impedance * (std::complex<Real>{1.0, 0.0} - gamma) /
-        (std::complex<Real>{1.0, 0.0} + gamma);
-    if (std::real(zc) < 0.0) zc = {0.0, std::imag(zc)};
-    n.loads[i] = {LoadKind::kNetwork, 0.0, zc};
   }
   return n;
 }

@@ -18,15 +18,12 @@ namespace itb::backscatter {
 using itb::dsp::Complex;
 using itb::dsp::Real;
 
-/// Lumped load kinds available to the switch network. kNetwork represents a
-/// small matching network presenting an arbitrary (passive) impedance — how
-/// the bench re-tunes states for non-50-ohm antennas.
-enum class LoadKind { kCapacitor, kInductor, kOpen, kShort, kResistor, kNetwork };
+/// Lumped load kinds available to the switch network.
+enum class LoadKind { kCapacitor, kInductor, kOpen, kShort, kResistor };
 
 struct Load {
   LoadKind kind = LoadKind::kOpen;
   Real value = 0.0;  ///< farads, henries or ohms depending on kind
-  std::complex<Real> network_impedance{0.0, 0.0};  ///< used by kNetwork
 
   /// Impedance at frequency f (Hz).
   std::complex<Real> impedance(Real freq_hz) const;
@@ -62,9 +59,5 @@ ImpedanceNetwork paper_network();
 /// An idealized network whose Gammas are exactly the unit-magnitude QPSK
 /// states (used by ablation benches to isolate circuit imperfections).
 ImpedanceNetwork ideal_network();
-
-/// Network re-tuned for a non-50-ohm antenna (contact lens / implant loops):
-/// scales the ideal states by the achievable |Gamma| given mismatch.
-ImpedanceNetwork retuned_network(std::complex<Real> antenna_impedance);
 
 }  // namespace itb::backscatter

@@ -27,7 +27,6 @@ itb::wifi::DsssFrame make_frame(const itb::phy::Bytes& psdu,
                                 const WifiSynthConfig& cfg) {
   itb::wifi::DsssTxConfig txcfg;
   txcfg.rate = cfg.rate;
-  txcfg.samples_per_chip = 1;  // we expand to the tag rate ourselves
   txcfg.short_tag_preamble = cfg.short_tag_preamble;
   const itb::wifi::DsssTransmitter tx(txcfg);
   return tx.modulate(psdu);
@@ -41,9 +40,9 @@ WifiSynthResult synthesize_wifi(const itb::phy::Bytes& psdu,
   out.frame = make_frame(psdu, cfg);
 
   // Per-chip rotations; the tag's DQPSK/CCK chips all sit on the QPSK grid.
-  std::vector<std::uint8_t> per_chip(out.frame.chips.size());
+  std::vector<std::uint8_t> per_chip(out.frame.baseband.size());
   for (std::size_t i = 0; i < per_chip.size(); ++i) {
-    per_chip[i] = chip_to_rotation(out.frame.chips[i]);
+    per_chip[i] = chip_to_rotation(out.frame.baseband[i]);
   }
 
   const Real spc_real = cfg.sample_rate_hz / 11e6;
@@ -61,7 +60,7 @@ WifiSynthResult synthesize_wifi(const itb::phy::Bytes& psdu,
 
   out.states = mod.modulate_states(per_sample);
   out.waveform = mod.states_to_waveform(out.states);
-  out.duration_us = static_cast<double>(out.frame.chips.size()) / 11.0;
+  out.duration_us = static_cast<double>(out.frame.baseband.size()) / 11.0;
   out.state_transitions = count_transitions(out.states);
   return out;
 }
@@ -72,9 +71,9 @@ WifiSynthResult synthesize_wifi_dsb(const itb::phy::Bytes& psdu,
   out.frame = make_frame(psdu, cfg);
 
   // DSB can only realize BPSK cleanly: use the real part's sign per chip.
-  std::vector<std::uint8_t> per_chip(out.frame.chips.size());
+  std::vector<std::uint8_t> per_chip(out.frame.baseband.size());
   for (std::size_t i = 0; i < per_chip.size(); ++i) {
-    per_chip[i] = out.frame.chips[i].real() < 0.0 ? 1 : 0;
+    per_chip[i] = out.frame.baseband[i].real() < 0.0 ? 1 : 0;
   }
 
   const auto spc =
@@ -88,7 +87,7 @@ WifiSynthResult synthesize_wifi_dsb(const itb::phy::Bytes& psdu,
   const DsbModulator mod(scfg);
 
   out.waveform = mod.modulate(per_sample);
-  out.duration_us = static_cast<double>(out.frame.chips.size()) / 11.0;
+  out.duration_us = static_cast<double>(out.frame.baseband.size()) / 11.0;
   // State sequence for DSB is implicit; approximate transitions by edges.
   out.state_transitions = 2 * static_cast<std::size_t>(
       out.duration_us * std::abs(cfg.shift_hz) / 1e6);

@@ -40,10 +40,4 @@ Antenna card_antenna() {
           .impedance = {50.0, 0.0}};
 }
 
-Real mismatch_loss_db(std::complex<Real> za, std::complex<Real> zc) {
-  const std::complex<Real> gamma = (zc - za) / (zc + za);
-  const Real transmitted = 1.0 - std::norm(gamma);
-  return -10.0 * std::log10(std::max(transmitted, 1e-9));
-}
-
 }  // namespace itb::channel

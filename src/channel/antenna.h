@@ -36,8 +36,4 @@ Antenna neural_implant_loop();
 /// Credit-card PCB antenna (§5.3).
 Antenna card_antenna();
 
-/// Mismatch loss (dB) when an antenna of impedance Za drives a load Zc:
-/// -10 log10(1 - |Gamma|^2) with Gamma = (Zc - Za)/(Zc + Za).
-Real mismatch_loss_db(std::complex<Real> za, std::complex<Real> zc);
-
 }  // namespace itb::channel

@@ -50,16 +50,4 @@ CVec apply_cfo(const CVec& x, Real cfo_hz, Real sample_rate_hz,
   return out;
 }
 
-CVec apply_cfo(const CVec& x, FrequencyOffset offset, Real sample_rate_hz,
-               Real initial_phase_rad) {
-  return apply_cfo(x, offset.hz(), sample_rate_hz, initial_phase_rad);
-}
-
-CVec apply_gain_db(const CVec& x, Real gain_db) {
-  const Real a = itb::dsp::db_to_amplitude(gain_db);
-  CVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * a;
-  return out;
-}
-
 }  // namespace itb::channel

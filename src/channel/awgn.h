@@ -52,15 +52,8 @@ void add_noise_snr_inplace(std::span<Complex> x, Real snr_db,
 /// add_noise_snr_inplace on a copy of x.
 CVec add_noise_snr(const CVec& x, Real snr_db, itb::dsp::Xoshiro256& rng);
 
-/// Applies a static carrier frequency offset and initial phase.
-/// The Real overload takes the offset in Hz; prefer the typed overload when
-/// the offset originates from an oscillator tolerance in ppm.
+/// Applies a static carrier frequency offset (Hz) and initial phase.
 CVec apply_cfo(const CVec& x, Real cfo_hz, Real sample_rate_hz,
                Real initial_phase_rad = 0.0);
-CVec apply_cfo(const CVec& x, FrequencyOffset offset, Real sample_rate_hz,
-               Real initial_phase_rad = 0.0);
-
-/// Scales samples by a power gain given in dB (amplitude = 10^(dB/20)).
-CVec apply_gain_db(const CVec& x, Real gain_db);
 
 }  // namespace itb::channel

@@ -109,7 +109,7 @@ void ImpairmentChain::apply_channel_inplace(CVec& y, std::uint64_t seed,
   // --- 3. sampling-rate offset --------------------------------------------
   // The receiver's clock runs (1 + sro) fast: it reads the waveform at
   // fractional positions i*(1 + sro). Linear interpolation is adequate for
-  // the already band-limited signals here (same rationale as dsp/resample).
+  // the already band-limited signals here.
   // A fast clock consumes more input than it produces, so the tail is
   // zero-padded by the accumulated drift — otherwise a frame that ends at
   // its last sample loses its final symbol to the resampler.

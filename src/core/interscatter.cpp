@@ -3,20 +3,13 @@
 #include <cmath>
 
 #include "ble/channel_map.h"
-#include "ble/gfsk.h"
 #include "dsp/units.h"
 #include "obs/prof.h"
 
 namespace itb::core {
 
 InterscatterSystem::InterscatterSystem(const UplinkScenario& scenario)
-    : scenario_(scenario) {
-  itb::ble::SingleToneSpec spec;
-  spec.channel_index = scenario_.ble_channel;
-  spec.sign = itb::ble::ToneSign::kHigh;
-  spec.payload_bytes = itb::ble::kMaxAdvDataBytes;
-  tone_ = itb::ble::make_single_tone_packet(spec);
-}
+    : scenario_(scenario) {}
 
 Real InterscatterSystem::shift_hz() const {
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(scenario_.ble_channel);
@@ -116,9 +109,7 @@ UplinkDecodeResult InterscatterSystem::simulate_frame(
   if (chain) chain->apply_frontend_inplace(chips);
 
   // --- Decode ---------------------------------------------------------------
-  itb::wifi::DsssRxConfig rxcfg;
-  rxcfg.samples_per_chip = 1;
-  const itb::wifi::DsssReceiver rx(rxcfg);
+  const itb::wifi::DsssReceiver rx;
   const auto res = rx.receive(chips);
   if (!res) return out;
 
@@ -126,21 +117,6 @@ UplinkDecodeResult InterscatterSystem::simulate_frame(
   out.rssi_dbm = b.rssi_dbm;
   out.decoded_psdu = res->psdu;
   out.payload_ok = res->header_ok && res->psdu == psdu;
-  return out;
-}
-
-std::vector<SweepPoint> sweep_distance(const UplinkScenario& base,
-                                       const std::vector<Real>& distances_m,
-                                       std::size_t psdu_bytes) {
-  std::vector<SweepPoint> out;
-  out.reserve(distances_m.size());
-  for (Real d : distances_m) {
-    UplinkScenario s = base;
-    s.tag_rx_distance_m = d;
-    const InterscatterSystem sys(s);
-    const UplinkBudget b = sys.budget(psdu_bytes);
-    out.push_back({d, b.rssi_dbm, b.per});
-  }
   return out;
 }
 

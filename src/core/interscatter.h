@@ -19,7 +19,6 @@
 #include <optional>
 
 #include "backscatter/tag.h"
-#include "ble/single_tone.h"
 #include "channel/awgn.h"
 #include "channel/impairments.h"
 #include "channel/link.h"
@@ -82,9 +81,6 @@ class InterscatterSystem {
   /// The frequency shift is derived from the BLE/Wi-Fi channel pair.
   UplinkDecodeResult simulate_frame(const itb::phy::Bytes& psdu) const;
 
-  /// The BLE single-tone advertisement driving the tag.
-  const itb::ble::SingleToneResult& tone() const { return tone_; }
-
   /// Tag-side frequency shift (Hz) between the BLE tone and the Wi-Fi
   /// channel centre.
   Real shift_hz() const;
@@ -98,18 +94,6 @@ class InterscatterSystem {
 
  private:
   UplinkScenario scenario_;
-  itb::ble::SingleToneResult tone_;
 };
-
-/// Helper used by the application benches: sweep tag->rx distance and report
-/// (distance, RSSI) pairs plus the PER at each point.
-struct SweepPoint {
-  Real distance_m;
-  Real rssi_dbm;
-  Real per;
-};
-std::vector<SweepPoint> sweep_distance(const UplinkScenario& base,
-                                       const std::vector<Real>& distances_m,
-                                       std::size_t psdu_bytes);
 
 }  // namespace itb::core

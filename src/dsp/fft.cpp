@@ -25,11 +25,6 @@ void fft_inplace(std::span<Complex> x) {
   fft_plan(x.size()).forward(x);
 }
 
-void ifft_inplace(std::span<Complex> x) {
-  require_power_of_two(x.size(), "ifft_inplace");
-  fft_plan(x.size()).inverse(x);
-}
-
 CVec fft(std::span<const Complex> x) {
   if (!is_power_of_two(x.size())) return dft(x);
   CVec out(x.begin(), x.end());

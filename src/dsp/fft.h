@@ -15,10 +15,6 @@ namespace itb::dsp {
 /// release builds is how spur measurements go wrong.
 void fft_inplace(std::span<Complex> x);
 
-/// In-place inverse FFT with 1/N normalization. Power-of-two sizes only,
-/// validated in all build modes.
-void ifft_inplace(std::span<Complex> x);
-
 /// Out-of-place transforms for any size: power-of-two inputs run through the
 /// plan cache, everything else falls back to the exact O(N^2) dft/idft.
 CVec fft(std::span<const Complex> x);

@@ -139,15 +139,4 @@ RVec filter_same(std::span<const Real> x, std::span<const Real> taps) {
   return filter_same_impl(x, taps);
 }
 
-RVec single_pole_lowpass(std::span<const Real> x, Real alpha) {
-  assert(alpha > 0.0 && alpha <= 1.0);
-  RVec y(x.size());
-  Real state = x.empty() ? 0.0 : x[0];
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    state += alpha * (x[i] - state);
-    y[i] = state;
-  }
-  return y;
-}
-
 }  // namespace itb::dsp

@@ -49,8 +49,4 @@ bool convolve_prefers_fft(std::size_t signal_len, std::size_t kernel_len);
 CVec filter_same(std::span<const Complex> x, std::span<const Real> taps);
 RVec filter_same(std::span<const Real> x, std::span<const Real> taps);
 
-/// Single-pole IIR smoother y[n] = (1-a) y[n-1] + a x[n]; `alpha` in (0, 1].
-/// Used to model RC envelope-detector dynamics.
-RVec single_pole_lowpass(std::span<const Real> x, Real alpha);
-
 }  // namespace itb::dsp

@@ -45,10 +45,6 @@ class Nco {
   Real phase_step_;
 };
 
-/// Returns x multiplied by e^{j 2 pi f t}: shifts the spectrum up by freq_hz.
-CVec frequency_shift(std::span<const Complex> x, Real freq_hz, Real sample_rate_hz,
-                     Real initial_phase_rad = 0.0);
-
 /// Multiplies y[i] by e^{j(phi0 + i*step + theta_i)}, where theta is an
 /// optional Wiener phase-noise walk: theta_0 = 0 and, after each sample,
 /// theta grows by pn_sigma * g with g one Gaussian draw from `*rng` (no

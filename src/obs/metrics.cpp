@@ -67,10 +67,6 @@ MetricId MetricsRegistry::counter(std::string name) {
   return add(std::move(name), MetricKind::kCounter, {});
 }
 
-MetricId MetricsRegistry::gauge(std::string name) {
-  return add(std::move(name), MetricKind::kGauge, {});
-}
-
 MetricId MetricsRegistry::histogram(std::string name,
                                     std::vector<double> upper_edges) {
   return add(std::move(name), MetricKind::kHistogram, std::move(upper_edges));
@@ -120,20 +116,11 @@ MetricsSnapshot MetricsRegistry::merge(
     // list is a fixed partition, never a function of thread scheduling.
     for (const MetricCells& shard : shards) {
       const MetricCells::Cell& c = shard.cells_[i];
-      switch (mv.kind) {
-        case MetricKind::kCounter:
-          mv.count += c.count;
-          break;
-        case MetricKind::kGauge:
-          if (c.value_set) mv.value = c.value;
-          break;
-        case MetricKind::kHistogram:
-          mv.count += c.count;
-          mv.value += c.value;
-          for (std::size_t b = 0; b < mv.buckets.size(); ++b) {
-            mv.buckets[b] += c.buckets[b];
-          }
-          break;
+      mv.count += c.count;
+      if (mv.kind != MetricKind::kHistogram) continue;
+      mv.value += c.value;
+      for (std::size_t b = 0; b < mv.buckets.size(); ++b) {
+        mv.buckets[b] += c.buckets[b];
       }
     }
     snap.metrics_.push_back(std::move(mv));

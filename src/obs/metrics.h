@@ -1,8 +1,10 @@
-// Deterministic metrics registry: typed counters / gauges / fixed-bucket
+// Deterministic metrics registry: typed counters and fixed-bucket
 // histograms registered by name, accumulated in per-shard cell blocks with
 // no atomics, and merged in shard-index order at join — so a metrics
 // snapshot is bit-identical at any thread count (DESIGN.md "Observability
-// and the determinism contract").
+// and the determinism contract"). Gauges are not accumulated per shard:
+// they are whole-run values appended to the snapshot after the merge
+// (MetricsSnapshot::append_gauge).
 //
 // Three pieces:
 //   MetricsRegistry  — the schema: names, kinds, histogram bucket edges.
@@ -42,7 +44,6 @@ class MetricsRegistry {
   /// Registering an existing name with a different kind throws
   /// std::invalid_argument.
   MetricId counter(std::string name);
-  MetricId gauge(std::string name);
   MetricId histogram(std::string name, std::vector<double> upper_edges);
 
   std::size_t size() const { return specs_.size(); }
@@ -51,8 +52,8 @@ class MetricsRegistry {
   MetricCells make_cells() const;
 
   /// Sequential, index-ordered reduction over shard cell blocks: counters
-  /// and histograms sum, gauges keep the last set() in shard order. The
-  /// result is independent of how the shards were scheduled onto threads.
+  /// and histograms sum. The result is independent of how the shards were
+  /// scheduled onto threads.
   MetricsSnapshot merge(const std::vector<MetricCells>& shards) const;
 
  private:
@@ -72,11 +73,6 @@ class MetricCells {
  public:
   /// Counter increment.
   void add(MetricId id, std::uint64_t delta = 1) { cells_[id].count += delta; }
-  /// Gauge set (last set wins within a shard; shard order decides at merge).
-  void set(MetricId id, double value) {
-    cells_[id].value = value;
-    cells_[id].value_set = true;
-  }
   /// Histogram observation.
   void observe(MetricId id, double value);
 
@@ -84,8 +80,7 @@ class MetricCells {
   friend class MetricsRegistry;
   struct Cell {
     std::uint64_t count = 0;  ///< counter value / histogram sample count
-    double value = 0.0;       ///< gauge value / histogram sample sum
-    bool value_set = false;
+    double value = 0.0;       ///< histogram sample sum
     std::vector<std::uint64_t> buckets;  ///< per-bucket counts + overflow
     const std::vector<double>* edges = nullptr;  ///< borrowed from the schema
   };

@@ -31,15 +31,6 @@ Bytes bits_to_bytes_lsb_first(std::span<const std::uint8_t> bits) {
   return out;
 }
 
-Bytes bits_to_bytes_msb_first(std::span<const std::uint8_t> bits) {
-  assert(bits.size() % 8 == 0);
-  Bytes out(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(1u << (7 - i % 8));
-  }
-  return out;
-}
-
 Bits uint_to_bits_lsb_first(std::uint64_t value, std::size_t width) {
   Bits out(width);
   for (std::size_t i = 0; i < width; ++i) out[i] = (value >> i) & 1;
@@ -70,38 +61,12 @@ std::uint64_t bits_to_uint_msb_first(std::span<const std::uint8_t> bits) {
   return v;
 }
 
-Bits xor_bits(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b) {
-  assert(a.size() == b.size());
-  Bits out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = (a[i] ^ b[i]) & 1;
-  return out;
-}
-
 std::size_t hamming_distance(std::span<const std::uint8_t> a,
                              std::span<const std::uint8_t> b) {
   assert(a.size() == b.size());
   std::size_t d = 0;
   for (std::size_t i = 0; i < a.size(); ++i) d += (a[i] ^ b[i]) & 1;
   return d;
-}
-
-std::string to_string(std::span<const std::uint8_t> bits) {
-  std::string s;
-  s.reserve(bits.size());
-  for (std::uint8_t b : bits) s.push_back(b ? '1' : '0');
-  return s;
-}
-
-Bytes reverse_bits_in_bytes(std::span<const std::uint8_t> bytes) {
-  Bytes out(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    std::uint8_t b = bytes[i];
-    b = static_cast<std::uint8_t>((b & 0xF0) >> 4 | (b & 0x0F) << 4);
-    b = static_cast<std::uint8_t>((b & 0xCC) >> 2 | (b & 0x33) << 2);
-    b = static_cast<std::uint8_t>((b & 0xAA) >> 1 | (b & 0x55) << 1);
-    out[i] = b;
-  }
-  return out;
 }
 
 }  // namespace itb::phy

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace itb::phy {
@@ -26,9 +25,6 @@ Bits bytes_to_bits_msb_first(std::span<const std::uint8_t> bytes);
 /// Packs bits (LSB-first per byte) into bytes. Size must be a multiple of 8.
 Bytes bits_to_bytes_lsb_first(std::span<const std::uint8_t> bits);
 
-/// Packs bits (MSB-first per byte) into bytes. Size must be a multiple of 8.
-Bytes bits_to_bytes_msb_first(std::span<const std::uint8_t> bits);
-
 /// Expands an integer to `width` bits, LSB first.
 Bits uint_to_bits_lsb_first(std::uint64_t value, std::size_t width);
 
@@ -41,17 +37,8 @@ std::uint64_t bits_to_uint_lsb_first(std::span<const std::uint8_t> bits);
 /// Packs up to 64 bits (first element = MSB) into an integer.
 std::uint64_t bits_to_uint_msb_first(std::span<const std::uint8_t> bits);
 
-/// XOR of two equal-length bit vectors.
-Bits xor_bits(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
-
 /// Number of positions where a and b differ (sizes must match).
 std::size_t hamming_distance(std::span<const std::uint8_t> a,
                              std::span<const std::uint8_t> b);
-
-/// Renders bits as a "0101..." string (debugging / test failure messages).
-std::string to_string(std::span<const std::uint8_t> bits);
-
-/// Reverses bit order within each byte of a packed byte vector.
-Bytes reverse_bits_in_bytes(std::span<const std::uint8_t> bytes);
 
 }  // namespace itb::phy

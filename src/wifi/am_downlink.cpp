@@ -10,7 +10,6 @@
 namespace itb::wifi {
 
 using itb::dsp::Complex;
-using itb::dsp::CVec;
 using itb::dsp::Real;
 using itb::phy::Bits;
 
@@ -84,18 +83,13 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
       for (std::size_t i = rand_start; i < n_dbps; ++i) {
         data[off + i] = rng_.bit() ? 1 : 0;
       }
-      // Constraint 2: force the last 6 *scrambled* bits to the fill value
-      // when the next symbol is constant, so the convolutional encoder's
-      // memory enters it in the right state.
-      if (needs_bright_tail(s)) {
-        for (std::size_t i = n_dbps - 6; i < n_dbps; ++i) {
-          data[off + i] = (scramble_seq[off + i] ^ cfg_.constant_fill) & 1;
-        }
-      } else if (!needs_bright_tail(s)) {
-        // No tail constraint.
-      }
-
       if (!needs_bright_tail(s)) break;
+      // Constraint 2: the next symbol is constant, so force the last 6
+      // *scrambled* bits to the fill value; the convolutional encoder's
+      // memory then enters it in the right state.
+      for (std::size_t i = n_dbps - 6; i < n_dbps; ++i) {
+        data[off + i] = (scramble_seq[off + i] ^ cfg_.constant_fill) & 1;
+      }
 
       // Constraint 3: check the last time-domain sample amplitude of this
       // symbol; re-roll until bright enough that the constant symbol's CP
@@ -120,41 +114,6 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
   full.include_preamble = true;
   const OfdmTransmitter tx(full);
   out.tx = tx.transmit_data_bits(data);
-  return out;
-}
-
-AmDecodeResult decode_am_envelope(const CVec& baseband,
-                                  std::size_t num_data_symbols,
-                                  bool has_preamble) {
-  AmDecodeResult out;
-  // Preamble = STF(160) + LTF(160) + SIGNAL(80).
-  const std::size_t data_start = has_preamble ? 400 : 0;
-  out.symbol_envelope.resize(num_data_symbols, 0.0);
-  for (std::size_t s = 0; s < num_data_symbols; ++s) {
-    const std::size_t start = data_start + s * kSymbolSamples;
-    if (start + kSymbolSamples > baseband.size()) break;
-    // Skip the CP and the first few samples (the constant symbol's energy
-    // spike sits at the start); measure the trailing 48 samples.
-    Real acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t k = kCpLen + 16; k < kSymbolSamples; ++k) {
-      acc += std::abs(baseband[start + k]);
-      ++n;
-    }
-    out.symbol_envelope[s] = n ? acc / static_cast<Real>(n) : 0.0;
-  }
-
-  // Global threshold: half of the median envelope of all symbols.
-  std::vector<Real> sorted = out.symbol_envelope;
-  std::sort(sorted.begin(), sorted.end());
-  const Real median = sorted.empty() ? 0.0 : sorted[sorted.size() / 2];
-  const Real threshold = median * 0.5;
-
-  // Symbol 0 is the header symbol; message bits ride on pairs (s, s+1).
-  for (std::size_t s = 1; s + 1 < num_data_symbols; s += 2) {
-    const Real second = out.symbol_envelope[s + 1];
-    out.bits.push_back(second < threshold ? 1 : 0);
-  }
   return out;
 }
 

@@ -19,9 +19,13 @@ namespace itb::wifi {
 
 using itb::phy::DsssScrambler;
 
-DsssReceiver::DsssReceiver(const DsssRxConfig& cfg) : cfg_(cfg) {}
-
 namespace {
+
+/// Minimum normalized Barker correlation to declare chip lock (0..1).
+constexpr Real kAcquisitionThreshold = 0.5;
+/// Maximum bits of SYNC to scan for the SFD before giving up.
+constexpr std::size_t kMaxSyncSearchBits = 400;
+constexpr Real kChipRateHz = 11e6;
 
 /// The Barker sequence as a complex correlation pattern (+/-1, zero phase).
 CVec barker_pattern() {
@@ -34,26 +38,14 @@ CVec barker_pattern() {
 
 }  // namespace
 
-std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
+std::optional<DsssRxResult> DsssReceiver::receive(const CVec& rx_chips) const {
   static const std::size_t kZone = obs::prof_zone("phy.dsss_rx");
   const obs::ProfZone prof(kZone);
-  // --- 1. Decimate to chip rate (mid-chip sampling) ------------------------
-  const std::size_t spc = cfg_.samples_per_chip;
-  CVec chips;
-  if (spc == 1) {
-    chips = samples;
-  } else {
-    chips.resize(samples.size() / spc);
-    for (std::size_t i = 0; i < chips.size(); ++i) {
-      // Average the chip interval: acts as the chip matched filter.
-      Complex acc{0.0, 0.0};
-      for (std::size_t k = 0; k < spc; ++k) acc += samples[i * spc + k];
-      chips[i] = acc / static_cast<Real>(spc);
-    }
-  }
-  if (chips.size() < 2 * kBarker.size()) return std::nullopt;
+  if (rx_chips.size() < 2 * kBarker.size()) return std::nullopt;
+  // Derotated in place by the CFO stage below.
+  CVec chips = rx_chips;
 
-  // --- 2. Chip-timing acquisition over the 11 possible alignments ----------
+  // --- 1. Chip-timing acquisition over the 11 possible alignments ----------
   // One sliding correlation over the probe region yields every
   // (offset, symbol) Barker metric at once; the correlate API picks the
   // direct or spectral path by size.
@@ -83,72 +75,71 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
   const Real input_rms = itb::dsp::rms(std::span<const Complex>(chips).first(
       std::min<std::size_t>(chips.size(), probe_symbols * kBarker.size())));
   if (input_rms <= 0.0 ||
-      per_symbol < cfg_.acquisition_threshold * input_rms *
+      per_symbol < kAcquisitionThreshold * input_rms *
                        static_cast<Real>(kBarker.size())) {
     return std::nullopt;
   }
 
-  // --- 2b. Timing refinement ----------------------------------------------
+  // --- 1b. Timing refinement ----------------------------------------------
   // A dispersive channel smears correlation energy across adjacent chip
   // alignments; when a neighbour's metric is within 10% of the winner, break
   // the near-tie by despread-domain energy (the quantity the demodulator
   // actually consumes).
-  if (cfg_.refine_timing) {
-    const auto despread_energy = [&](std::size_t off) -> Real {
-      const std::size_t n =
-          std::min(probe_symbols, (chips.size() - off) / kBarker.size());
-      if (n == 0) return -1.0;
-      const CVec syms = despread(std::span<const Complex>(chips).subspan(
-          off, n * kBarker.size()));
-      Real acc = 0.0;
-      for (const Complex& s : syms) acc += std::norm(s);
-      return acc / static_cast<Real>(n);
-    };
-    Real best_energy = despread_energy(best_off);
-    for (const std::size_t cand :
-         {(best_off + kBarker.size() - 1) % kBarker.size(),
-          (best_off + 1) % kBarker.size()}) {
-      if (offset_metric[cand] < 0.9 * best_metric) continue;
-      const Real e = despread_energy(cand);
-      if (e > best_energy) {
-        best_energy = e;
-        best_off = cand;
-      }
+  const auto despread_energy = [&](std::size_t off) -> Real {
+    const std::size_t n =
+        std::min(probe_symbols, (chips.size() - off) / kBarker.size());
+    if (n == 0) return -1.0;
+    const CVec syms = despread(std::span<const Complex>(chips).subspan(
+        off, n * kBarker.size()));
+    Real acc = 0.0;
+    for (const Complex& s : syms) acc += std::norm(s);
+    return acc / static_cast<Real>(n);
+  };
+  Real best_energy = despread_energy(best_off);
+  for (const std::size_t cand :
+       {(best_off + kBarker.size() - 1) % kBarker.size(),
+        (best_off + 1) % kBarker.size()}) {
+    if (offset_metric[cand] < 0.9 * best_metric) continue;
+    const Real e = despread_energy(cand);
+    if (e > best_energy) {
+      best_energy = e;
+      best_off = cand;
     }
   }
 
-  // --- 2c. CFO estimation from the preamble -------------------------------
-  // Every differential product of neighbouring preamble symbols is (+-1) *
-  // e^{j theta}, theta the per-symbol rotation: squaring removes the DBPSK
-  // sign so arg(sum d^2)/2 estimates theta, then the whole chip stream is
-  // derotated at theta/11 per chip (the carrier phasor recurrence, DESIGN.md)
-  // and decoding proceeds as if on-channel.
+  // --- 2. CFO estimation from the preamble --------------------------------
+  // A +-40 ppm tag oscillator (~+-100 kHz at 2.4 GHz) rotates DQPSK by ~0.6
+  // rad per symbol, most of the pi/4 decision margin, so the differential
+  // demodulator alone cannot absorb it at realistic SNR. Every differential
+  // product of neighbouring preamble symbols is (+-1) * e^{j theta}, theta
+  // the per-symbol rotation: squaring removes the DBPSK sign so
+  // arg(sum d^2)/2 estimates theta (unambiguous up to +-250 kHz, a quarter
+  // turn per 1 us symbol), then the whole chip stream is derotated at
+  // theta/11 per chip (the carrier phasor recurrence, DESIGN.md) and
+  // decoding proceeds as if on-channel.
   Real cfo_est_hz = 0.0;
-  if (cfg_.enable_cfo_correction) {
-    const std::size_t est_symbols =
-        std::min<std::size_t>(32, (chips.size() - best_off) / kBarker.size());
-    if (est_symbols >= 4) {
-      const CVec syms = despread(std::span<const Complex>(chips).subspan(
-          best_off, est_symbols * kBarker.size()));
-      Complex acc{0.0, 0.0};
-      for (std::size_t k = 0; k + 1 < syms.size(); ++k) {
-        const Complex d = syms[k + 1] * std::conj(syms[k]);
-        acc += d * d;
-      }
-      if (std::abs(acc) > 1e-12) {
-        const Real theta = 0.5 * std::arg(acc);
-        const Real phi_chip = theta / static_cast<Real>(kBarker.size());
-        itb::dsp::rotate_carrier(chips, 0.0, -phi_chip);
-        cfo_est_hz =
-            phi_chip * cfg_.chip_rate_hz / itb::dsp::kTwoPi;
-      }
+  const std::size_t est_symbols =
+      std::min<std::size_t>(32, (chips.size() - best_off) / kBarker.size());
+  if (est_symbols >= 4) {
+    const CVec syms = despread(std::span<const Complex>(chips).subspan(
+        best_off, est_symbols * kBarker.size()));
+    Complex acc{0.0, 0.0};
+    for (std::size_t k = 0; k + 1 < syms.size(); ++k) {
+      const Complex d = syms[k + 1] * std::conj(syms[k]);
+      acc += d * d;
+    }
+    if (std::abs(acc) > 1e-12) {
+      const Real theta = 0.5 * std::arg(acc);
+      const Real phi_chip = theta / static_cast<Real>(kBarker.size());
+      itb::dsp::rotate_carrier(chips, 0.0, -phi_chip);
+      cfo_est_hz = phi_chip * kChipRateHz / itb::dsp::kTwoPi;
     }
   }
 
   // --- 3. Despread the preamble region and find the SFD --------------------
   const std::size_t avail_symbols = (chips.size() - best_off) / kBarker.size();
   const std::size_t search_symbols =
-      std::min(avail_symbols, cfg_.max_sync_search_bits);
+      std::min(avail_symbols, kMaxSyncSearchBits);
   CVec pre_symbols = despread(std::span<const Complex>(chips).subspan(
       best_off, search_symbols * kBarker.size()));
 
@@ -184,7 +175,7 @@ std::optional<DsssRxResult> DsssReceiver::receive(const CVec& samples) const {
   const auto hdr = parse_plcp_header_bits(header_bits);
 
   DsssRxResult out;
-  out.sync_offset_samples = best_off * spc;
+  out.sync_offset_samples = best_off;
   out.cfo_est_hz = cfo_est_hz;
   out.rssi_dbm = itb::dsp::watts_to_dbm(itb::dsp::mean_power(
       std::span<const Complex>(chips).subspan(best_off,

@@ -14,27 +14,6 @@
 
 namespace itb::wifi {
 
-struct DsssRxConfig {
-  std::size_t samples_per_chip = 1;
-  /// Minimum normalized Barker correlation to declare chip lock (0..1).
-  Real acquisition_threshold = 0.5;
-  /// Maximum bits of SYNC to scan for the SFD before giving up.
-  std::size_t max_sync_search_bits = 400;
-  /// Estimate the per-symbol carrier rotation from the preamble's
-  /// differential symbols and derotate the chip stream before decoding.
-  /// A +-40 ppm tag oscillator (~+-100 kHz at 2.4 GHz) rotates DQPSK by
-  /// ~0.6 rad per symbol — most of the pi/4 decision margin — so the
-  /// differential demodulator alone cannot absorb it at realistic SNR.
-  /// Unambiguous up to +-250 kHz (a quarter turn per 1 us symbol).
-  bool enable_cfo_correction = true;
-  /// Resolve correlation-metric ties between adjacent chip alignments by
-  /// comparing despread-domain energy over the probe region; under
-  /// multipath the correlation peak smears across neighbouring offsets.
-  bool refine_timing = true;
-  /// Nominal chip rate, used only to report cfo_est_hz in Hz.
-  Real chip_rate_hz = 11e6;
-};
-
 struct DsssRxResult {
   Bytes psdu;
   PlcpHeader header;
@@ -42,21 +21,19 @@ struct DsssRxResult {
   bool fcs_ok = false;   ///< MAC-level CRC32 over the PSDU
   Real rssi_dbm = 0.0;   ///< measured from preamble sample power
   std::size_t sync_offset_samples = 0;
-  /// Carrier offset estimated from the preamble (Hz at chip_rate_hz),
-  /// already corrected before decoding. 0 when correction is disabled.
+  /// Carrier offset estimated from the preamble (Hz at 11 Mchip/s),
+  /// already corrected before decoding. 0 when the preamble is too short
+  /// (< 4 symbols) or too weak to estimate.
   Real cfo_est_hz = 0.0;
 };
 
+/// Runs at one sample per chip (11 Msps): callers with oversampled
+/// waveforms integrate-and-dump to chip rate first, as simulate_frame does.
 class DsssReceiver {
  public:
-  explicit DsssReceiver(const DsssRxConfig& cfg = {});
-
-  /// Attempts to find and decode one frame in the sample stream.
+  /// Attempts to find and decode one frame in the chip stream.
   /// Returns nullopt when no preamble/SFD is found.
-  std::optional<DsssRxResult> receive(const CVec& samples) const;
-
- private:
-  DsssRxConfig cfg_;
+  std::optional<DsssRxResult> receive(const CVec& chips) const;
 };
 
 }  // namespace itb::wifi

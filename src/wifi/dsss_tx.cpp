@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "dsp/resample.h"
 #include "obs/prof.h"
 #include "phycommon/lfsr.h"
 #include "wifi/barker.h"
@@ -90,12 +89,8 @@ DsssFrame DsssTransmitter::modulate(const Bytes& psdu) const {
 
   DsssFrame out;
   out.psdu_bits = psdu_bits.size();
-  out.chips = chips;
-  out.baseband = cfg_.samples_per_chip == 1
-                     ? chips
-                     : itb::dsp::hold_upsample(
-                           std::span<const Complex>(chips), cfg_.samples_per_chip);
   out.duration_us = static_cast<double>(chips.size()) / 11.0;
+  out.baseband = std::move(chips);
   return out;
 }
 

@@ -19,20 +19,14 @@ using itb::phy::Bytes;
 
 struct DsssTxConfig {
   DsssRate rate = DsssRate::k2Mbps;
-  std::size_t samples_per_chip = 1;  ///< 11 Mchip/s * spc = sample rate
   /// Tag-mode framing (paper §2.3.3): replaces the 144 us long preamble with
   /// a short 48-bit sync so the whole frame fits in a BLE payload window.
   bool short_tag_preamble = false;
-
-  Real sample_rate_hz() const {
-    return 11e6 * static_cast<Real>(samples_per_chip);
-  }
 };
 
 /// Result of modulating one frame.
 struct DsssFrame {
-  CVec baseband;        ///< complex samples at 11 Mchip/s * samples_per_chip
-  CVec chips;           ///< pre-sampling chip stream (11 Mchip/s)
+  CVec baseband;        ///< the chip stream, one sample per chip (11 Msps)
   std::size_t psdu_bits = 0;
   double duration_us = 0.0;
 };

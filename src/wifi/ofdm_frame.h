@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 
 #include "dsp/types.h"
 #include "phycommon/bits.h"
@@ -51,10 +52,13 @@ itb::dsp::Real pilot_polarity(std::size_t symbol_index);
 itb::dsp::CVec build_ofdm_symbol(std::span<const itb::dsp::Complex> data48,
                                  std::size_t symbol_index);
 
-/// Extracts the 48 data values from a received symbol (no channel equalization
-/// — the simulation channel is flat within a frame; pilots correct phase).
+/// Extracts the 48 data values from a received symbol: FFT, division of each
+/// occupied bin by the channel estimate `chan` (kFftSize bins in FFT order;
+/// bins with |chan| <= 1e-9 stay undivided), then common-phase correction
+/// from the pilots. A unit channel divides exactly, leaving the FFT output.
 itb::dsp::CVec extract_ofdm_symbol(std::span<const itb::dsp::Complex> samples,
-                                   std::size_t symbol_index);
+                                   std::size_t symbol_index,
+                                   std::span<const itb::dsp::Complex> chan);
 
 /// 802.11 short training field (10 repetitions, 160 samples total).
 itb::dsp::CVec short_training_field();
@@ -68,12 +72,14 @@ std::array<itb::dsp::Real, 53> ltf_sequence();
 /// SIGNAL field symbol: rate bits + length, BPSK rate-1/2, not scrambled.
 itb::dsp::CVec build_signal_symbol(OfdmRate rate, std::size_t psdu_bytes);
 
-/// Parses a received SIGNAL symbol. Returns false on parity failure.
+/// Parses a received SIGNAL symbol, equalized by `chan` as in
+/// extract_ofdm_symbol. nullopt on a parity failure or an unknown RATE.
 struct SignalField {
   OfdmRate rate;
   std::size_t length_bytes;
 };
-bool parse_signal_symbol(std::span<const itb::dsp::Complex> samples,
-                         SignalField& out);
+std::optional<SignalField> parse_signal_symbol(
+    std::span<const itb::dsp::Complex> samples,
+    std::span<const itb::dsp::Complex> chan);
 
 }  // namespace itb::wifi

@@ -6,6 +6,7 @@
 
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
+#include "dsp/mixer.h"
 #include "dsp/units.h"
 #include "phycommon/lfsr.h"
 #include "wifi/interleaver.h"
@@ -15,7 +16,13 @@ namespace itb::wifi {
 using itb::dsp::Complex;
 using itb::dsp::Real;
 
-OfdmReceiver::OfdmReceiver(const OfdmRxConfig& cfg) : cfg_(cfg) {}
+namespace {
+
+/// Normalized LTF correlation needed to declare a frame (0..1).
+constexpr Real kDetectionThreshold = 0.55;
+constexpr Real kSampleRateHz = 20e6;
+
+}  // namespace
 
 std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
   // --- 1. Locate the LTF by cross-correlation ------------------------------
@@ -35,7 +42,7 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
     }
   }
   const Real norm = itb::dsp::normalized_peak(samples, ltf_period, best);
-  if (norm < cfg_.detection_threshold) return std::nullopt;
+  if (norm < kDetectionThreshold) return std::nullopt;
 
   // `best` points at the first full LTF period; frame starts 160+32 earlier.
   if (best < 192) return std::nullopt;
@@ -43,44 +50,35 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
   out.frame_start = best - 192;
 
   // --- 1b. Preamble CFO estimation + correction ----------------------------
-  // Coarse: the STF repeats every 16 samples, so the lag-16 autocorrelation
-  // phase measures CFO unambiguously to +-fs/32. Fine: the LTF's two
-  // 64-sample periods give a 4x finer estimate, ambiguous at fs/64; the
-  // coarse stage resolves the integer ambiguity.
-  CVec corrected;
-  const CVec* rx_samples = &samples;
-  if (cfg_.enable_cfo_correction) {
-    const auto autocorr_freq = [&](std::size_t from, std::size_t count,
-                                   std::size_t lag) -> std::optional<Real> {
-      Complex acc{0.0, 0.0};
-      for (std::size_t i = from; i < from + count; ++i) {
-        acc += std::conj(samples[i]) * samples[i + lag];
-      }
-      if (std::abs(acc) < 1e-12) return std::nullopt;
-      // Cycles per sample.
-      return std::arg(acc) / (itb::dsp::kTwoPi * static_cast<Real>(lag));
-    };
-    // STF body, staying clear of the frame edge and the LTF boundary.
-    const auto coarse = autocorr_freq(out.frame_start + 16, 112, 16);
-    const auto fine = autocorr_freq(best, 64, 64);
-    if (fine) {
-      Real f = *fine;
-      if (coarse) {
-        const Real ambiguity = 1.0 / 64.0;
-        f += ambiguity * std::round((*coarse - f) / ambiguity);
-      }
-      out.cfo_est_hz = f * cfg_.sample_rate_hz;
-      corrected.resize(samples.size());
-      Real phase = 0.0;
-      const Real step = -itb::dsp::kTwoPi * f;
-      for (std::size_t i = 0; i < samples.size(); ++i) {
-        corrected[i] = samples[i] * Complex{std::cos(phase), std::sin(phase)};
-        phase += step;
-      }
-      rx_samples = &corrected;
+  // The tag's +-40 ppm oscillator (~+-100 kHz at 2.4 GHz) is a third of a
+  // subcarrier spacing: fatal ICI if left uncorrected. Coarse: the STF
+  // repeats every 16 samples, so the lag-16 autocorrelation phase measures
+  // CFO unambiguously to +-fs/32 (+-625 kHz). Fine: the LTF's two 64-sample
+  // periods give a 4x finer estimate, ambiguous at fs/64; the coarse stage
+  // resolves the integer ambiguity.
+  const auto autocorr_freq = [&](std::size_t from, std::size_t count,
+                                 std::size_t lag) -> std::optional<Real> {
+    Complex acc{0.0, 0.0};
+    for (std::size_t i = from; i < from + count; ++i) {
+      acc += std::conj(samples[i]) * samples[i + lag];
     }
+    if (std::abs(acc) < 1e-12) return std::nullopt;
+    // Cycles per sample.
+    return std::arg(acc) / (itb::dsp::kTwoPi * static_cast<Real>(lag));
+  };
+  // STF body, staying clear of the frame edge and the LTF boundary.
+  const auto coarse = autocorr_freq(out.frame_start + 16, 112, 16);
+  const auto fine = autocorr_freq(best, 64, 64);
+  CVec rx = samples;
+  if (fine) {
+    Real f = *fine;
+    if (coarse) {
+      const Real ambiguity = 1.0 / 64.0;
+      f += ambiguity * std::round((*coarse - f) / ambiguity);
+    }
+    out.cfo_est_hz = f * kSampleRateHz;
+    itb::dsp::rotate_carrier(rx, 0.0, -itb::dsp::kTwoPi * f);
   }
-  const CVec& rx = *rx_samples;
 
   // --- 2. Channel estimation from the two LTF periods ----------------------
   const auto seq = ltf_sequence();
@@ -111,112 +109,62 @@ std::optional<OfdmRxResult> OfdmReceiver::receive(const CVec& samples) const {
   out.rssi_dbm = itb::dsp::watts_to_dbm(itb::dsp::mean_power(
       std::span<const Complex>(rx).subspan(best, 128)));
 
-  // Equalization helper: extract + per-subcarrier divide.
-  const auto equalized_symbol = [&](std::size_t start,
-                                    std::size_t pilot_index) -> CVec {
-    CVec sym(rx.begin() + static_cast<std::ptrdiff_t>(start),
-             rx.begin() + static_cast<std::ptrdiff_t>(start + kSymbolSamples));
-    // Equalize in frequency domain: redo extract with channel division.
-    CVec time(sym.begin() + kCpLen, sym.end());
-    const Real scale = std::sqrt(52.0) / static_cast<Real>(kFftSize);
-    for (Complex& v : time) v *= scale;
-    CVec freq = itb::dsp::fft(time);
-    for (int k = -26; k <= 26; ++k) {
-      const std::size_t b = bin(k);
-      if (std::abs(chan[b]) > 1e-9) freq[b] /= chan[b];
-    }
-    // Pilot common-phase correction.
-    const Real pol = pilot_polarity(pilot_index);
-    Complex pacc{0.0, 0.0};
-    for (std::size_t p = 0; p < kPilotCarriers; ++p) {
-      const Complex expect{pol * kPilotBase[p], 0.0};
-      pacc += freq[bin(kPilotIndices[p])] * std::conj(expect);
-    }
-    Complex rot{1.0, 0.0};
-    if (std::abs(pacc) > 1e-12) rot = std::conj(pacc / std::abs(pacc));
-    CVec data(kDataCarriers);
-    for (std::size_t i = 0; i < kDataCarriers; ++i) {
-      data[i] = freq[bin(data_subcarrier_index(i))] * rot;
-    }
-    return data;
-  };
-
   // --- 3. SIGNAL field ------------------------------------------------------
   const std::size_t signal_start = best + 128;
   if (signal_start + kSymbolSamples > rx.size()) return std::nullopt;
-  {
-    const CVec sig_data = equalized_symbol(signal_start, 0);
-    const itb::phy::Bits inter = qam_demodulate(sig_data, Modulation::kBpsk);
-    const itb::phy::Bits coded = deinterleave(inter, 48, 1);
-    const itb::phy::Bits field = viterbi_decode(coded, 24);
-    unsigned ones = 0;
-    for (int i = 0; i < 17; ++i) ones += field[i];
-    if ((ones & 1u) != field[17]) {
-      out.signal_ok = false;
-      return out;
-    }
-    unsigned rate_bits = 0;
-    for (int i = 0; i < 4; ++i) rate_bits = (rate_bits << 1) | field[i];
-    bool rate_found = false;
-    for (OfdmRate r : {OfdmRate::k6, OfdmRate::k9, OfdmRate::k12, OfdmRate::k18,
-                       OfdmRate::k24, OfdmRate::k36, OfdmRate::k48, OfdmRate::k54}) {
-      if (ofdm_params(r).signal_rate_bits == rate_bits) {
-        out.rate = r;
-        rate_found = true;
-        break;
-      }
-    }
-    if (!rate_found) {
-      out.signal_ok = false;
-      return out;
-    }
-    std::size_t length = 0;
-    for (int i = 0; i < 12; ++i) length |= static_cast<std::size_t>(field[5 + i]) << i;
-    out.signal_ok = true;
-
-    // --- 4. DATA symbols ----------------------------------------------------
-    const auto& p = ofdm_params(out.rate);
-    // The SIGNAL LENGTH we transmit in this codebase is the DATA field byte
-    // count (see OfdmTransmitter), floored: at 9 Mbps a symbol carries 4.5
-    // bytes, so rounding up recovers the symbol count the transmitter sent.
-    const std::size_t data_bits = length * 8;
-    const std::size_t num_symbols = (data_bits + p.n_dbps - 1) / p.n_dbps;
-    itb::phy::Bits punctured;
-    punctured.reserve(num_symbols * p.n_cbps);
-    std::size_t start = signal_start + kSymbolSamples;
-    for (std::size_t s = 0; s < num_symbols; ++s) {
-      if (start + kSymbolSamples > rx.size()) return out;
-      const CVec data = equalized_symbol(start, s + 1);
-      const itb::phy::Bits inter = qam_demodulate(data, p.modulation);
-      const itb::phy::Bits sym = deinterleave(inter, p.n_cbps, p.n_bpsc);
-      punctured.insert(punctured.end(), sym.begin(), sym.end());
-      start += kSymbolSamples;
-    }
-
-    // A LENGTH that does not fill whole symbols (a corrupted SIGNAL that
-    // passed parity) decodes only the bits the received symbols carry.
-    const itb::phy::Bits scrambled =
-        decode_punctured(punctured, p.code_rate, num_symbols * p.n_dbps);
-
-    // --- 5. Descramble: recover the seed from the SERVICE field ------------
-    // The first 7 data bits were zeros pre-scrambling, so the first 7
-    // scrambled bits are the scrambler stream itself. A SIGNAL with LENGTH 0
-    // announces no DATA symbols, so there is no seed to read.
-    if (scrambled.size() < 7) return out;
-    const std::uint8_t seed = itb::phy::OfdmScrambler::seed_from_first_bits(
-        std::span<const std::uint8_t>(scrambled).first(7));
-    out.scrambler_seed = seed;
-    if (seed == 0) return out;
-    itb::phy::OfdmScrambler descrambler(seed);
-    const itb::phy::Bits data_field = descrambler.process(scrambled);
-
-    // PSDU sits after the 16 SERVICE bits; strip tail+pad.
-    if (data_field.size() < 16 + 6) return out;
-    const std::size_t psdu_bits = (data_field.size() - 16 - 6) / 8 * 8;
-    const itb::phy::Bits psdu(data_field.begin() + 16,
-                              data_field.begin() + 16 + static_cast<std::ptrdiff_t>(psdu_bits));
-    out.psdu = itb::phy::bits_to_bytes_lsb_first(psdu);
+  const std::span<const Complex> rx_span(rx);
+  const auto signal =
+      parse_signal_symbol(rx_span.subspan(signal_start, kSymbolSamples), chan);
+  if (!signal) {
+    out.signal_ok = false;
+    return out;
   }
+  out.rate = signal->rate;
+  out.signal_ok = true;
+
+  // --- 4. DATA symbols ------------------------------------------------------
+  const auto& p = ofdm_params(out.rate);
+  // The SIGNAL LENGTH we transmit in this codebase is the DATA field byte
+  // count (see OfdmTransmitter), floored: at 9 Mbps a symbol carries 4.5
+  // bytes, so rounding up recovers the symbol count the transmitter sent.
+  const std::size_t data_bits = signal->length_bytes * 8;
+  const std::size_t num_symbols = (data_bits + p.n_dbps - 1) / p.n_dbps;
+  itb::phy::Bits punctured;
+  punctured.reserve(num_symbols * p.n_cbps);
+  std::size_t start = signal_start + kSymbolSamples;
+  for (std::size_t s = 0; s < num_symbols; ++s) {
+    if (start + kSymbolSamples > rx.size()) return out;
+    const CVec data =
+        extract_ofdm_symbol(rx_span.subspan(start, kSymbolSamples), s + 1, chan);
+    const itb::phy::Bits inter = qam_demodulate(data, p.modulation);
+    const itb::phy::Bits sym = deinterleave(inter, p.n_cbps, p.n_bpsc);
+    punctured.insert(punctured.end(), sym.begin(), sym.end());
+    start += kSymbolSamples;
+  }
+
+  // A LENGTH that does not fill whole symbols (a corrupted SIGNAL that
+  // passed parity) decodes only the bits the received symbols carry.
+  const itb::phy::Bits scrambled =
+      decode_punctured(punctured, p.code_rate, num_symbols * p.n_dbps);
+
+  // --- 5. Descramble: recover the seed from the SERVICE field --------------
+  // The first 7 data bits were zeros pre-scrambling, so the first 7
+  // scrambled bits are the scrambler stream itself. A SIGNAL with LENGTH 0
+  // announces no DATA symbols, so there is no seed to read.
+  if (scrambled.size() < 7) return out;
+  const std::uint8_t seed = itb::phy::OfdmScrambler::seed_from_first_bits(
+      std::span<const std::uint8_t>(scrambled).first(7));
+  out.scrambler_seed = seed;
+  if (seed == 0) return out;
+  itb::phy::OfdmScrambler descrambler(seed);
+  const itb::phy::Bits data_field = descrambler.process(scrambled);
+
+  // PSDU sits after the 16 SERVICE bits; strip tail+pad.
+  if (data_field.size() < 16 + 6) return out;
+  const std::size_t psdu_bits = (data_field.size() - 16 - 6) / 8 * 8;
+  const itb::phy::Bits psdu(data_field.begin() + 16,
+                            data_field.begin() + 16 + static_cast<std::ptrdiff_t>(psdu_bits));
+  out.psdu = itb::phy::bits_to_bytes_lsb_first(psdu);
   return out;
 }
 

@@ -20,34 +20,19 @@ struct OfdmRxResult {
   bool signal_ok = false;
   itb::dsp::Real rssi_dbm = 0.0;
   std::size_t frame_start = 0;      ///< sample index of the STF start
-  /// Carrier offset estimated from the preamble (Hz at `sample_rate_hz`),
-  /// already corrected before demodulation. 0 when correction is disabled.
+  /// Carrier offset estimated from the preamble (Hz at 20 Msps), already
+  /// corrected before demodulation. 0 when the LTF autocorrelation vanishes
+  /// and no estimate exists.
   itb::dsp::Real cfo_est_hz = 0.0;
 };
 
-struct OfdmRxConfig {
-  /// Normalized LTF correlation needed to declare a frame (0..1).
-  itb::dsp::Real detection_threshold = 0.55;
-  /// Two-stage preamble CFO synchronization: coarse from the STF's 16-sample
-  /// periodicity (unambiguous to +-625 kHz at 20 Msps), fine from the LTF's
-  /// 64-sample periodicity (+-156 kHz), combined by integer-ambiguity
-  /// resolution. Needed for the tag's +-40 ppm oscillator (~+-100 kHz at
-  /// 2.4 GHz), which is a third of a subcarrier spacing — fatal ICI if left
-  /// uncorrected.
-  bool enable_cfo_correction = true;
-  /// Nominal sample rate, used only to report cfo_est_hz in Hz.
-  itb::dsp::Real sample_rate_hz = 20e6;
-};
-
+/// Runs at 20 Msps. Symbols go through the same extract_ofdm_symbol and
+/// parse_signal_symbol the frame-layer tests use, with the LTF channel
+/// estimate in place of a unit channel.
 class OfdmReceiver {
  public:
-  explicit OfdmReceiver(const OfdmRxConfig& cfg = {});
-
   /// Finds and decodes one frame. Returns nullopt when no preamble is found.
   std::optional<OfdmRxResult> receive(const CVec& samples) const;
-
- private:
-  OfdmRxConfig cfg_;
 };
 
 }  // namespace itb::wifi

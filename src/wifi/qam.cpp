@@ -148,8 +148,7 @@ void level_to_gray(Real level, std::size_t width, Bits& out) {
   }
 }
 
-/// Appends the demapped bits of one symbol to `out` without the per-symbol
-/// Bits allocation of qam_unmap_symbol (the batched demap path).
+/// Appends the demapped bits of one symbol to `out`.
 void unmap_symbol_into(Complex symbol, Modulation m, Real inv_k, Bits& out) {
   const Real re = symbol.real() * inv_k;
   const Real im = symbol.imag() * inv_k;
@@ -204,12 +203,6 @@ CVec qam_modulate(const Bits& bits, Modulation m) {
   for (std::size_t i = 0; i < bits.size(); i += bps) {
     out.push_back(qam_map_symbol(std::span<const std::uint8_t>(&bits[i], bps), m));
   }
-  return out;
-}
-
-Bits qam_unmap_symbol(Complex symbol, Modulation m) {
-  Bits out;
-  unmap_symbol_into(symbol, m, 1.0 / qam_norm(m), out);
   return out;
 }
 

@@ -40,8 +40,7 @@ CVec qam_modulate(const Bits& bits, Modulation m);
 /// Hard-decision demapping (nearest constellation point).
 Bits qam_demodulate(std::span<const Complex> symbols, Modulation m);
 
-/// Single-symbol versions.
+/// Single-symbol mapping.
 Complex qam_map_symbol(std::span<const std::uint8_t> bits, Modulation m);
-Bits qam_unmap_symbol(Complex symbol, Modulation m);
 
 }  // namespace itb::wifi

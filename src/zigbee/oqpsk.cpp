@@ -11,6 +11,14 @@
 
 namespace itb::zigbee {
 
+namespace {
+
+/// Sub-block length (chips) of the noncoherent symbol detector: 2 us per
+/// differential step.
+constexpr std::size_t kDespreadBlockChips = 4;
+
+}  // namespace
+
 const std::array<std::uint32_t, 16>& chip_table() {
   // IEEE 802.15.4-2011 Table 73, packed chip0-first into bit 0.
   // Symbols 1..7 are 4-chip left-rotations of symbol 0; symbols 8..15 are
@@ -96,30 +104,14 @@ CVec OqpskModulator::modulate_bytes(const Bytes& bytes) const {
 
 OqpskDemodulator::OqpskDemodulator(const OqpskConfig& cfg) : cfg_(cfg) {}
 
-Bits OqpskDemodulator::demodulate_chips(const CVec& samples,
-                                        std::size_t offset_samples) const {
-  const std::size_t spc = cfg_.samples_per_chip;
-  Bits chips;
-  // Sample each branch at its pulse peak: I chips peak at start + spc,
-  // Q chips at start + 2*spc (centre of the half-sine).
-  for (std::size_t k = 0;; ++k) {
-    const bool is_q = (k % 2) == 1;
-    const std::size_t centre =
-        offset_samples + (k / 2) * 2 * spc + (is_q ? spc : 0) + spc;
-    if (centre >= samples.size()) break;
-    const Real v = is_q ? samples[centre].imag() : samples[centre].real();
-    chips.push_back(v > 0.0 ? 1 : 0);
-  }
-  return chips;
-}
-
 CVec OqpskDemodulator::soft_chips(const CVec& samples,
                                   std::size_t offset_samples) const {
   const std::size_t spc = cfg_.samples_per_chip;
   CVec chips;
-  // Same peak positions as demodulate_chips, but keep the full complex
-  // sample: at a branch peak the other branch's half-sine crosses zero, so
-  // the sample is the chip value rotated by whatever the carrier did.
+  // Sample each branch at its pulse peak: I chips peak at start + spc,
+  // Q chips at start + 2*spc (centre of the half-sine). At a branch peak the
+  // other branch's half-sine crosses zero, so the full complex sample is the
+  // chip value rotated by whatever the carrier did.
   for (std::size_t k = 0;; ++k) {
     const bool is_q = (k % 2) == 1;
     const std::size_t centre =
@@ -130,11 +122,10 @@ CVec OqpskDemodulator::soft_chips(const CVec& samples,
   return chips;
 }
 
-Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
-                                            std::size_t block_chips) const {
+Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft) const {
   static const std::size_t kZone = obs::prof_zone("phy.soft_despread");
   const obs::ProfZone prof(kZone);
-  if (block_chips == 0) block_chips = kChipsPerSymbol;
+  static_assert(kChipsPerSymbol % kDespreadBlockChips == 0);
   // Complex PN patterns, stored chip-major (one 16-candidate column per
   // chip): chip bit -> +-1 on the I axis (even chips) or the Q axis (odd
   // chips). The column layout lets the despread vectorize ACROSS the 16
@@ -172,10 +163,10 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
       std::array<Real, 16> metric{};
       std::array<Complex, 16> prev{};
       bool have_prev = false;
-      for (std::size_t b0 = 0; b0 < kChipsPerSymbol; b0 += block_chips) {
+      for (std::size_t b0 = 0; b0 < kChipsPerSymbol;
+           b0 += kDespreadBlockChips) {
         std::array<Complex, 16> acc{};
-        const std::size_t bend = std::min(b0 + block_chips, kChipsPerSymbol);
-        for (std::size_t c = b0; c < bend; ++c) {
+        for (std::size_t c = b0; c < b0 + kDespreadBlockChips; ++c) {
           kern.accum_scaled_conj(acc.data(), columns[c].data(), soft[at + c],
                                  16);
         }
@@ -195,36 +186,6 @@ Bytes OqpskDemodulator::soft_chips_to_bytes(const CVec& soft,
           best_sym = cand;
         }
       }
-      byte |= static_cast<std::uint8_t>(nib == 0 ? best_sym : best_sym << 4);
-    }
-    out.push_back(byte);
-  }
-  return out;
-}
-
-Bytes OqpskDemodulator::chips_to_bytes(const Bits& chips) const {
-  const std::size_t nsym = chips.size() / kChipsPerSymbol;
-  Bytes out;
-  last_worst_distance_ = 0;
-  for (std::size_t s = 0; s + 1 < nsym + 1; s += 2) {
-    std::uint8_t byte = 0;
-    for (unsigned nib = 0; nib < 2; ++nib) {
-      if (s + nib >= nsym) break;
-      const std::size_t at = (s + nib) * kChipsPerSymbol;
-      unsigned best_sym = 0;
-      std::size_t best_dist = kChipsPerSymbol + 1;
-      for (unsigned cand = 0; cand < 16; ++cand) {
-        const std::uint32_t pattern = chip_table()[cand];
-        std::size_t dist = 0;
-        for (std::size_t c = 0; c < kChipsPerSymbol; ++c) {
-          dist += (chips[at + c] != ((pattern >> c) & 1));
-        }
-        if (dist < best_dist) {
-          best_dist = dist;
-          best_sym = cand;
-        }
-      }
-      last_worst_distance_ = std::max(last_worst_distance_, best_dist);
       byte |= static_cast<std::uint8_t>(nib == 0 ? best_sym : best_sym << 4);
     }
     out.push_back(byte);

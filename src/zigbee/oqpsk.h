@@ -56,43 +56,30 @@ class OqpskModulator {
   itb::dsp::RVec pulse_;
 };
 
-/// Chip-correlation demodulator: recovers symbols by correlating received
-/// chips against the 16 PN sequences (soft chip values, hard decisions).
+/// Chip-correlation demodulator: recovers symbols by correlating soft chip
+/// samples against the 16 PN sequences.
 class OqpskDemodulator {
  public:
   explicit OqpskDemodulator(const OqpskConfig& cfg = {});
 
-  /// Demodulates baseband to hard chip decisions. `offset_samples` points at
-  /// the first sample of chip 0.
-  Bits demodulate_chips(const CVec& samples, std::size_t offset_samples = 0) const;
-
-  /// Maps 32-chip blocks to the best-matching symbols (0..15) and packs
-  /// nibbles into bytes (low nibble first).
-  Bytes chips_to_bytes(const Bits& chips) const;
-
   /// Complex chip samples at the branch pulse peaks (I chips on the real
-  /// axis, Q chips on the imaginary axis when on-channel). A carrier phase
-  /// or frequency offset rotates these samples instead of destroying them,
-  /// which is what the noncoherent detector below exploits.
+  /// axis, Q chips on the imaginary axis when on-channel); `offset_samples`
+  /// points at the first sample of chip 0. A carrier phase or frequency
+  /// offset rotates these samples instead of destroying them, which is what
+  /// the noncoherent detector below exploits.
   CVec soft_chips(const CVec& samples, std::size_t offset_samples = 0) const;
 
   /// Symbol detection over soft chips: correlates each 32-chip symbol
-  /// against the 16 complex PN patterns in sub-blocks of `block_chips`
-  /// chips, combining adjacent blocks differentially (DPDI). Invariant to a
-  /// common phase rotation and tolerant of CFO up to ~a quarter turn per
-  /// sub-block step (~+-100 kHz at the default block of 4 chips = 2 us) —
-  /// the low-power-tag regime where the hard-decision path loses every
-  /// chip — while still penalizing phase discontinuities from corrupted
-  /// chips.
-  Bytes soft_chips_to_bytes(const CVec& soft, std::size_t block_chips = 4) const;
-
-  /// Minimum chip-pattern Hamming distance of the last chips_to_bytes call's
-  /// worst symbol (diagnostic for link quality / LQI modeling).
-  std::size_t last_worst_distance() const { return last_worst_distance_; }
+  /// against the 16 complex PN patterns in 4-chip (2 us) sub-blocks,
+  /// combining adjacent blocks differentially (DPDI), and packs the symbols
+  /// into bytes (low nibble first). Invariant to a common phase rotation and
+  /// tolerant of CFO up to ~a quarter turn per sub-block step (~+-100 kHz) —
+  /// the low-power-tag regime where per-chip sign decisions lose every chip
+  /// — while still penalizing phase discontinuities from corrupted chips.
+  Bytes soft_chips_to_bytes(const CVec& soft) const;
 
  private:
   OqpskConfig cfg_;
-  mutable std::size_t last_worst_distance_ = 0;
 };
 
 }  // namespace itb::zigbee

@@ -16,12 +16,6 @@ namespace {
 using itb::dsp::Complex;
 using itb::dsp::Real;
 
-TEST(Interscatter, ToneIsReadyOnConstruction) {
-  UplinkScenario s;
-  const InterscatterSystem sys(s);
-  EXPECT_GT(sys.tone().tone_duration_us(), 200.0);
-}
-
 TEST(Interscatter, ShiftMatchesChannelPlan) {
   UplinkScenario s;
   s.ble_channel = 38;
@@ -87,17 +81,6 @@ TEST(Interscatter, WaveformAgreesWithBudgetNearThreshold) {
   bad.ble_tx_power_dbm = 0.0;
   bad.tag_rx_distance_m = 90.0;
   EXPECT_GT(InterscatterSystem(bad).budget(31).per, 0.5);
-}
-
-TEST(Interscatter, SweepIsMonotoneInDistance) {
-  UplinkScenario s;
-  const std::vector<Real> d = {1.0, 2.0, 4.0, 8.0, 16.0};
-  const auto pts = sweep_distance(s, d, 31);
-  ASSERT_EQ(pts.size(), 5u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_LT(pts[i].rssi_dbm, pts[i - 1].rssi_dbm);
-    EXPECT_GE(pts[i].per, pts[i - 1].per - 1e-9);
-  }
 }
 
 TEST(Interscatter, TissueLossShrinksRange) {

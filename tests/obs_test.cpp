@@ -243,8 +243,8 @@ TEST(MetricsRegistryTest, RegistrationIsIdempotentAndTypeChecked) {
   obs::MetricsRegistry reg;
   const obs::MetricId a = reg.counter("itb.test.a");
   EXPECT_EQ(reg.counter("itb.test.a"), a);
-  EXPECT_NE(reg.gauge("itb.test.b"), a);
-  EXPECT_THROW(reg.gauge("itb.test.a"), std::invalid_argument);
+  EXPECT_NE(reg.counter("itb.test.b"), a);
+  EXPECT_THROW(reg.histogram("itb.test.a", {1.0}), std::invalid_argument);
   EXPECT_THROW(reg.histogram("itb.test.h", {}), std::invalid_argument);
   EXPECT_THROW(reg.histogram("itb.test.h", {2.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(reg.histogram("itb.test.h", {1.0, 1.0}), std::invalid_argument);
@@ -281,22 +281,17 @@ TEST(MetricsRegistryTest, HistogramBucketEdgesFollowLeConvention) {
   EXPECT_NE(prom.find("itb_test_h_count 5"), std::string::npos);
 }
 
-TEST(MetricsRegistryTest, MergeSumsCountersAndKeepsLastGaugeInShardOrder) {
+TEST(MetricsRegistryTest, MergeSumsCountersAcrossShards) {
   obs::MetricsRegistry reg;
   const obs::MetricId c = reg.counter("itb.test.c");
-  const obs::MetricId g = reg.gauge("itb.test.g");
   obs::MetricCells s0 = reg.make_cells();
   obs::MetricCells s1 = reg.make_cells();
   obs::MetricCells s2 = reg.make_cells();
   s0.add(c, 3);
   s2.add(c, 4);
-  s0.set(g, 1.0);
-  s1.set(g, 2.0);
-  // s2 never sets the gauge: the merged value is the last *set* in shard
-  // order, not the last shard.
+  // s1 never touches the counter and contributes zero.
   const obs::MetricsSnapshot snap = reg.merge({s0, s1, s2});
   EXPECT_EQ(snap.counter_value("itb.test.c"), 7u);
-  EXPECT_DOUBLE_EQ(snap.gauge_value("itb.test.g"), 2.0);
 }
 
 // --------------------------------------------------------------------------
@@ -403,6 +398,11 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
         capture.metrics.find("itb.sim.poll_latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, s.replies_received);
+    // Whole-run gauges are appended after the shard merge.
+    EXPECT_EQ(capture.metrics.gauge_value("itb.sim.delivery_ratio"),
+              s.delivery_ratio);
+    EXPECT_EQ(capture.metrics.gauge_value("itb.sim.goodput_kbps"),
+              s.aggregate_goodput_kbps);
     EXPECT_GT(capture.trace.size(), 0u);
   }
   for (std::size_t i = 1; i < stat_digests.size(); ++i) {

@@ -18,11 +18,6 @@ TEST(Bits, LsbFirstRoundTrip) {
   EXPECT_EQ(bits_to_bytes_lsb_first(bytes_to_bits_lsb_first(in)), in);
 }
 
-TEST(Bits, MsbFirstRoundTrip) {
-  const Bytes in = {0x01, 0x80, 0xAA};
-  EXPECT_EQ(bits_to_bytes_msb_first(bytes_to_bits_msb_first(in)), in);
-}
-
 TEST(Bits, LsbOrdering) {
   const Bits b = bytes_to_bits_lsb_first(Bytes{0x01});
   EXPECT_EQ(b[0], 1);
@@ -47,23 +42,10 @@ TEST(Bits, UintConversions) {
   EXPECT_EQ(msb[3], 1);
 }
 
-TEST(Bits, XorAndHamming) {
+TEST(Bits, HammingDistance) {
   const Bits a = {1, 0, 1, 1};
   const Bits b = {1, 1, 0, 1};
-  EXPECT_EQ(xor_bits(a, b), (Bits{0, 1, 1, 0}));
   EXPECT_EQ(hamming_distance(a, b), 2u);
-}
-
-TEST(Bits, ToStringRendering) {
-  const Bits a = {1, 0, 1};
-  EXPECT_EQ(to_string(a), "101");
-}
-
-TEST(Bits, ReverseBitsInBytes) {
-  const Bytes in = {0x01, 0xF0};
-  const Bytes out = reverse_bits_in_bytes(in);
-  EXPECT_EQ(out[0], 0x80);
-  EXPECT_EQ(out[1], 0x0F);
 }
 
 // --- CRC --------------------------------------------------------------------

@@ -337,9 +337,9 @@ TEST(SimdParity, ZigbeeSoftDespreadDispatchInvariant) {
   CVec wave = mod.modulate_bytes(payload);
   for (auto& v : wave) v += rng.complex_gaussian(0.02);
   const CVec soft = demod.soft_chips(wave, 0);
-  const itb::phy::Bytes with = demod.soft_chips_to_bytes(soft, 8);
+  const itb::phy::Bytes with = demod.soft_chips_to_bytes(soft);
   SimdGuard off(false);
-  const itb::phy::Bytes without = demod.soft_chips_to_bytes(soft, 8);
+  const itb::phy::Bytes without = demod.soft_chips_to_bytes(soft);
   EXPECT_EQ(with, without);
 }
 

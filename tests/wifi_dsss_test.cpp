@@ -472,21 +472,6 @@ TEST(DsssLoopbackMisc, NoSignalNoDetection) {
   EXPECT_FALSE(rx.receive(noise).has_value());
 }
 
-TEST(DsssLoopbackMisc, MultiSamplePerChipDecodes) {
-  DsssTxConfig txcfg;
-  txcfg.rate = DsssRate::k2Mbps;
-  txcfg.samples_per_chip = 4;
-  const DsssTransmitter tx(txcfg);
-  Bytes psdu = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const DsssFrame frame = tx.modulate(psdu);
-  DsssRxConfig rxcfg;
-  rxcfg.samples_per_chip = 4;
-  const DsssReceiver rx(rxcfg);
-  const auto result = rx.receive(frame.baseband);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->psdu, psdu);
-}
-
 TEST(DsssLoopbackMisc, MacFrameOverDsssEndToEnd) {
   MacFrame f;
   f.type = FrameType::kData;

@@ -208,12 +208,18 @@ INSTANTIATE_TEST_SUITE_P(Mods, QamRoundTrip,
                          ::testing::Values(Modulation::kBpsk, Modulation::kQpsk,
                                            Modulation::k16Qam, Modulation::k64Qam));
 
+/// Hard-decision bits of one symbol through the batched demapper.
+Bits demap_one(Complex symbol, Modulation m) {
+  return qam_demodulate(std::span<const Complex>(&symbol, 1), m);
+}
+
 TEST(Qam, GrayNeighboursDifferInOneBit) {
   // 16-QAM: adjacent I levels differ in exactly one of the two I bits.
-  const Bits a = qam_unmap_symbol({-3.0 / std::sqrt(10.0), 1.0 / std::sqrt(10.0)},
-                                  Modulation::k16Qam);
-  const Bits b = qam_unmap_symbol({-1.0 / std::sqrt(10.0), 1.0 / std::sqrt(10.0)},
-                                  Modulation::k16Qam);
+  const Bits a = demap_one({-3.0 / std::sqrt(10.0), 1.0 / std::sqrt(10.0)},
+                           Modulation::k16Qam);
+  const Bits b = demap_one({-1.0 / std::sqrt(10.0), 1.0 / std::sqrt(10.0)},
+                           Modulation::k16Qam);
+  ASSERT_EQ(a.size(), 4u);
   EXPECT_EQ(itb::phy::hamming_distance(a, b), 1u);
 }
 
@@ -227,18 +233,18 @@ TEST(Qam, UnmapMapsNaNAndInfToDefinedLevels) {
   const Real inf = std::numeric_limits<Real>::infinity();
 
   // 64-QAM: NaN real -> level -7 -> 000; +inf imag -> level +7 -> 100.
-  const Bits b64 = qam_unmap_symbol({nan, inf}, Modulation::k64Qam);
+  const Bits b64 = demap_one({nan, inf}, Modulation::k64Qam);
   ASSERT_EQ(b64.size(), 6u);
   EXPECT_EQ(Bits(b64.begin(), b64.begin() + 3), (Bits{0, 0, 0}));
   EXPECT_EQ(Bits(b64.begin() + 3, b64.end()), (Bits{1, 0, 0}));
 
   // -inf clamps to the most negative level on any width.
-  const Bits bneg = qam_unmap_symbol({-inf, -inf}, Modulation::k16Qam);
+  const Bits bneg = demap_one({-inf, -inf}, Modulation::k16Qam);
   EXPECT_EQ(bneg, (Bits{0, 0, 0, 0}));
 
   // BPSK: NaN -> -1 -> bit 0; both-NaN QPSK -> 00.
-  EXPECT_EQ(qam_unmap_symbol({nan, 0.0}, Modulation::kBpsk), (Bits{0}));
-  EXPECT_EQ(qam_unmap_symbol({nan, nan}, Modulation::kQpsk), (Bits{0, 0}));
+  EXPECT_EQ(demap_one({nan, 0.0}, Modulation::kBpsk), (Bits{0}));
+  EXPECT_EQ(demap_one({nan, nan}, Modulation::kQpsk), (Bits{0, 0}));
 
   // A NaN-poisoned stream demodulates to the right number of well-formed
   // bits instead of UB.
@@ -256,7 +262,8 @@ TEST(OfdmSymbol, BuildExtractRoundTrip) {
   for (auto& v : data) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
   const CVec sym = build_ofdm_symbol(data, 3);
   ASSERT_EQ(sym.size(), kSymbolSamples);
-  const CVec back = extract_ofdm_symbol(sym, 3);
+  const CVec unit_channel(kFftSize, Complex{1.0, 0.0});
+  const CVec back = extract_ofdm_symbol(sym, 3, unit_channel);
   for (std::size_t i = 0; i < kDataCarriers; ++i) {
     EXPECT_NEAR(std::abs(back[i] - data[i]), 0.0, 1e-9) << "carrier " << i;
   }
@@ -312,10 +319,11 @@ TEST(OfdmSymbol, LtfPeriodsIdentical) {
 
 TEST(OfdmSymbol, SignalSymbolRoundTrip) {
   const CVec sym = build_signal_symbol(OfdmRate::k36, 666);
-  SignalField out;
-  ASSERT_TRUE(parse_signal_symbol(sym, out));
-  EXPECT_EQ(out.rate, OfdmRate::k36);
-  EXPECT_EQ(out.length_bytes, 666u);
+  const CVec unit_channel(kFftSize, Complex{1.0, 0.0});
+  const auto out = parse_signal_symbol(sym, unit_channel);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->rate, OfdmRate::k36);
+  EXPECT_EQ(out->length_bytes, 666u);
 }
 
 // --- OFDM TX -> RX -------------------------------------------------------------------
@@ -517,17 +525,35 @@ TEST(AmDownlink, ConstantSymbolConcentratesEnergyInFirstSample) {
   EXPECT_GT(first, 3.0 * rest);
 }
 
+/// The tag's peak detector with its sensitivity floor out of the way: these
+/// tests feed it the unattenuated transmit waveform.
+itb::backscatter::PeakDetector strong_signal_detector() {
+  itb::backscatter::PeakDetectorConfig pdc;
+  pdc.sensitivity_dbm = -90.0;
+  return itb::backscatter::PeakDetector(pdc);
+}
+
 TEST(AmDownlink, RandomSymbolsKeepHighEnvelope) {
   AmDownlinkConfig cfg;
   AmDownlinkEncoder enc(cfg, 3);
   const Bits message = {0, 0};
   const AmFrame frame = enc.encode(message);
-  const auto r = decode_am_envelope(frame.tx.baseband,
-                                    frame.symbol_is_constant.size());
-  // All symbols random -> all envelopes similar.
-  for (std::size_t s = 1; s < r.symbol_envelope.size(); ++s) {
-    EXPECT_GT(r.symbol_envelope[s], 0.4 * r.symbol_envelope[0]);
+  const auto pd = strong_signal_detector();
+  // All symbols random -> all envelopes similar: the mean detector envelope
+  // past the CP of every data symbol stays near the header symbol's.
+  const auto env = pd.envelope(frame.tx.baseband);
+  const auto symbol_level = [&](std::size_t s) {
+    const std::size_t start = 400 + s * kSymbolSamples;
+    Real acc = 0.0;
+    for (std::size_t k = kCpLen; k < kSymbolSamples; ++k) acc += env[start + k];
+    return acc / static_cast<Real>(kSymbolSamples - kCpLen);
+  };
+  ASSERT_EQ(frame.symbol_is_constant.size(), 5u);
+  for (std::size_t s = 1; s < frame.symbol_is_constant.size(); ++s) {
+    EXPECT_GT(symbol_level(s), 0.4 * symbol_level(0)) << "symbol " << s;
   }
+  EXPECT_EQ(pd.decode_am(frame.tx.baseband, 400, kSymbolSamples, message.size()),
+            message);
 }
 
 TEST(AmDownlink, EnvelopeDecodeRoundTrip) {
@@ -536,12 +562,9 @@ TEST(AmDownlink, EnvelopeDecodeRoundTrip) {
   AmDownlinkEncoder enc(cfg, 4);
   const Bits message = {1, 0, 1, 1, 0, 0, 1, 0};
   const AmFrame frame = enc.encode(message);
-  const auto r = decode_am_envelope(frame.tx.baseband,
-                                    frame.symbol_is_constant.size());
-  ASSERT_GE(r.bits.size(), message.size());
-  for (std::size_t i = 0; i < message.size(); ++i) {
-    EXPECT_EQ(r.bits[i], message[i]) << "bit " << i;
-  }
+  const Bits out = strong_signal_detector().decode_am(
+      frame.tx.baseband, 400, kSymbolSamples, message.size());
+  EXPECT_EQ(out, message);
 }
 
 TEST(AmDownlink, PeakDetectorDecodesMessage) {
@@ -550,11 +573,8 @@ TEST(AmDownlink, PeakDetectorDecodesMessage) {
   const Bits message = {1, 1, 0, 1, 0, 0, 0, 1, 1, 0};
   const AmFrame frame = enc.encode(message);
 
-  itb::backscatter::PeakDetectorConfig pdc;
-  pdc.sensitivity_dbm = -90.0;  // strong signal in this test
-  const itb::backscatter::PeakDetector pd(pdc);
-  const Bits out =
-      pd.decode_am(frame.tx.baseband, 400, kSymbolSamples, message.size());
+  const Bits out = strong_signal_detector().decode_am(
+      frame.tx.baseband, 400, kSymbolSamples, message.size());
   EXPECT_EQ(out, message);
 }
 

@@ -64,10 +64,13 @@ TEST(Oqpsk, ChipRoundTrip) {
   Bits chips(256);
   for (auto& c : chips) c = rng.bit();
   const auto samples = mod.modulate_chips(chips);
-  const Bits out = demod.demodulate_chips(samples);
-  ASSERT_GE(out.size(), chips.size());
+  // On-channel, each soft chip carries its bit as the sign of its branch:
+  // even chips on I, odd chips on Q.
+  const CVec soft = demod.soft_chips(samples);
+  ASSERT_GE(soft.size(), chips.size());
   for (std::size_t i = 0; i < chips.size(); ++i) {
-    EXPECT_EQ(out[i], chips[i]) << "chip " << i;
+    const Real v = i % 2 == 0 ? soft[i].real() : soft[i].imag();
+    EXPECT_EQ(v > 0.0 ? 1 : 0, chips[i]) << "chip " << i;
   }
 }
 
@@ -76,8 +79,7 @@ TEST(Oqpsk, ByteRoundTripThroughChips) {
   OqpskDemodulator demod;
   const Bytes payload = {0x00, 0xFF, 0xA5, 0x3C, 0x77};
   const auto samples = mod.modulate_bytes(payload);
-  const Bits chips = demod.demodulate_chips(samples);
-  const Bytes out = demod.chips_to_bytes(chips);
+  const Bytes out = demod.soft_chips_to_bytes(demod.soft_chips(samples));
   ASSERT_GE(out.size(), payload.size());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     EXPECT_EQ(out[i], payload[i]) << "byte " << i;
@@ -89,15 +91,16 @@ TEST(Oqpsk, ChipErrorsToleratedBySpreading) {
   OqpskDemodulator demod;
   const Bytes payload = {0x12, 0x34, 0x56};
   const auto samples = mod.modulate_bytes(payload);
-  Bits chips = demod.demodulate_chips(samples);
-  // Flip 4 chips in each 32-chip symbol: still decodable (min distance >= 10).
-  for (std::size_t s = 0; s * kChipsPerSymbol + 28 < chips.size(); ++s) {
-    chips[s * kChipsPerSymbol + 3] ^= 1;
-    chips[s * kChipsPerSymbol + 11] ^= 1;
-    chips[s * kChipsPerSymbol + 19] ^= 1;
-    chips[s * kChipsPerSymbol + 27] ^= 1;
+  CVec soft = demod.soft_chips(samples);
+  // Flip 4 chips in each 32-chip symbol by negating their soft values:
+  // still decodable (min distance >= 10).
+  for (std::size_t s = 0; s * kChipsPerSymbol + 28 < soft.size(); ++s) {
+    for (const std::size_t c : {3, 11, 19, 27}) {
+      soft[s * kChipsPerSymbol + c] = -soft[s * kChipsPerSymbol + c];
+    }
   }
-  const Bytes out = demod.chips_to_bytes(chips);
+  const Bytes out = demod.soft_chips_to_bytes(soft);
+  ASSERT_GE(out.size(), payload.size());
   for (std::size_t i = 0; i < payload.size(); ++i) {
     EXPECT_EQ(out[i], payload[i]);
   }
