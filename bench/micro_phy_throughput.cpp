@@ -260,7 +260,8 @@ void BM_CckModulate11Mbps(benchmark::State& state) {
   phy::Bits bits(8 * 256);
   for (auto& b : bits) b = rng.bit();
   for (auto _ : state) {
-    auto chips = mod.modulate(bits);
+    dsp::CVec chips;
+    mod.modulate(bits, chips);
     benchmark::DoNotOptimize(chips.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

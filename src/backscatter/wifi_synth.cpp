@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "wifi/dpsk.h"
+
 namespace itb::backscatter {
 
 std::uint8_t chip_to_rotation(itb::dsp::Complex chip) {
@@ -11,8 +13,7 @@ std::uint8_t chip_to_rotation(itb::dsp::Complex chip) {
   // rotation of the whole constellation that differential receivers ignore
   // (paper §2.3.2). Rounding to the nearest axis (rather than the nearest
   // diagonal) keeps the mapping stable under floating-point jitter.
-  const long q = std::lround(std::arg(chip) / (itb::dsp::kPi / 2.0));
-  return static_cast<std::uint8_t>(((q % 4) + 4) % 4);
+  return static_cast<std::uint8_t>(itb::wifi::nearest_quarter(chip));
 }
 
 namespace {
@@ -70,10 +71,13 @@ WifiSynthResult synthesize_wifi_dsb(const itb::phy::Bytes& psdu,
   WifiSynthResult out;
   out.frame = make_frame(psdu, cfg);
 
-  // DSB can only realize BPSK cleanly: use the real part's sign per chip.
+  // DSB can only realize BPSK cleanly: each chip takes the nearer of the
+  // two points +-e^{j pi/4} (the SSB tag's constant pi/4 rotation), so 1
+  // and j map to 0, -1 and -j to a flip.
   std::vector<std::uint8_t> per_chip(out.frame.baseband.size());
   for (std::size_t i = 0; i < per_chip.size(); ++i) {
-    per_chip[i] = out.frame.baseband[i].real() < 0.0 ? 1 : 0;
+    const itb::dsp::Complex c = out.frame.baseband[i];
+    per_chip[i] = c.real() + c.imag() < 0.0 ? 1 : 0;
   }
 
   const auto spc =

@@ -110,34 +110,33 @@ void ImpairmentChain::apply_channel_inplace(CVec& y, std::uint64_t seed,
   // The receiver's clock runs (1 + sro) fast: it reads the waveform at
   // fractional positions i*(1 + sro). Linear interpolation is adequate for
   // the already band-limited signals here.
-  // A fast clock consumes more input than it produces, so the tail is
-  // zero-padded by the accumulated drift — otherwise a frame that ends at
-  // its last sample loses its final symbol to the resampler.
+  // A fast clock consumes more input than it produces, so the input is read
+  // as if zero-padded by the accumulated drift (plus one sample) —
+  // otherwise a frame that ends at its last sample loses its final symbol
+  // to the resampler. The output can be longer than y's storage, so it is
+  // written straight into a buffer reserved for it, which then replaces y:
+  // y is never grown, padded or copied.
   if (cfg_.sro_ppm != 0.0 && y.size() > 1) {
     const Real ratio = 1.0 + cfg_.sro_ppm * 1e-6;
-    const auto drift = static_cast<std::size_t>(
-        std::ceil(static_cast<Real>(y.size()) * std::abs(cfg_.sro_ppm) * 1e-6));
-    // Reserve the exact padded length: resize alone would double the
-    // capacity of a buffer sized to the frame.
-    y.reserve(y.size() + drift + 1);
-    y.resize(y.size() + drift + 1, Complex{0.0, 0.0});
-    // Output count is bounded by (padded length)/ratio + 1; the resampled
-    // waveform is built in arena scratch and copied into the result once
-    // its exact length is known.
-    itb::core::ArenaFrame scratch;
-    const auto bound = static_cast<std::size_t>(
-                           static_cast<Real>(y.size()) / ratio) +
-                       2;
-    std::span<Complex> res = scratch.arena().alloc_span<Complex>(bound);
-    std::size_t count = 0;
-    for (std::size_t i = 0;; ++i) {
+    // Signed indices: a double converts to int64 in one instruction.
+    const auto n = static_cast<std::int64_t>(y.size());
+    const auto drift = static_cast<std::int64_t>(
+        std::ceil(static_cast<Real>(n) * std::abs(cfg_.sro_ppm) * 1e-6));
+    const std::int64_t padded = n + drift + 1;
+    const auto at = [&](std::int64_t k) {
+      return k < n ? y[static_cast<std::size_t>(k)] : Complex{0.0, 0.0};
+    };
+    CVec res;
+    res.reserve(static_cast<std::size_t>(static_cast<Real>(padded) / ratio) +
+                2);
+    for (std::int64_t i = 0;; ++i) {
       const Real pos = static_cast<Real>(i) * ratio;
-      const auto i0 = static_cast<std::size_t>(pos);
-      if (i0 + 1 >= y.size()) break;
+      const auto i0 = static_cast<std::int64_t>(pos);
+      if (i0 + 1 >= padded) break;
       const Real frac = pos - static_cast<Real>(i0);
-      res[count++] = y[i0] * (1.0 - frac) + y[i0 + 1] * frac;
+      res.push_back(at(i0) * (1.0 - frac) + at(i0 + 1) * frac);
     }
-    y.assign(res.begin(), res.begin() + static_cast<std::ptrdiff_t>(count));
+    y = std::move(res);
   }
 
   // --- 4. IQ gain/phase imbalance -----------------------------------------

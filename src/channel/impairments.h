@@ -82,7 +82,8 @@ class ImpairmentChain {
 
   /// Channel-side stages only (multipath, CFO, phase noise, SRO, IQ) —
   /// lets callers add receiver thermal noise *before* quantization. Works
-  /// on `y` in place; the SRO stage changes its length.
+  /// on `y` in place; the SRO stage changes its length and gives it new
+  /// storage.
   void apply_channel_inplace(CVec& y, std::uint64_t seed,
                              std::uint64_t stream = 0) const;
   /// apply_channel_inplace on a copy of x.

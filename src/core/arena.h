@@ -56,7 +56,10 @@ class Arena {
     const std::size_t size = bytes + align > block_bytes_
                                  ? bytes + align
                                  : block_bytes_;
-    blocks_.push_back(Block{std::make_unique<std::byte[]>(size), size, 0});
+    // for_overwrite: the storage is handed out uninitialized, so zeroing a
+    // fresh block would only touch pages nobody reads.
+    blocks_.push_back(
+        Block{std::make_unique_for_overwrite<std::byte[]>(size), size, 0});
     active_ = blocks_.size() - 1;
     Block& b = blocks_.back();
     const std::size_t at = align_up(0, align);

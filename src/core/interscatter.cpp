@@ -110,7 +110,7 @@ UplinkDecodeResult InterscatterSystem::simulate_frame(
 
   // --- Decode ---------------------------------------------------------------
   const itb::wifi::DsssReceiver rx;
-  const auto res = rx.receive(chips);
+  const auto res = rx.receive(std::move(chips));
   if (!res) return out;
 
   out.detected = true;

@@ -57,8 +57,8 @@ std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
   if (cfg.impairments) chain.emplace(*cfg.impairments);
 
   parallel_for(total, cfg.num_threads, [&](std::size_t idx) {
-    // Trial-scope arena frame: impairment scratch (tap draws, convolution
-    // and resampler buffers) bumps into the worker's thread arena and is
+    // Trial-scope arena frame: impairment scratch (tap draws and the
+    // convolution buffer) bumps into the worker's thread arena and is
     // rewound here, so steady-state sweeps stop hitting the heap for
     // per-trial intermediates.
     const ArenaFrame trial_scratch;
@@ -73,12 +73,12 @@ std::vector<PerPoint> per_vs_snr(const MonteCarloConfig& cfg,
     // so per-sample SNR equals channel SNR. Impairment randomness is keyed
     // on the trial's global index: independent of scheduling, and distinct
     // from the noise substream. Channel, noise and ADC all work on the one
-    // trial buffer the baseband is moved into.
+    // trial buffer the baseband is moved into, and the receiver takes it.
     itb::dsp::CVec wave = std::move(frame.baseband);
     if (chain) chain->apply_channel_inplace(wave, cfg.seed, idx);
     itb::channel::add_noise_snr_inplace(wave, snr_grid_db[point], rng);
     if (chain) chain->apply_frontend_inplace(wave);
-    const auto result = rx.receive(wave);
+    const auto result = rx.receive(std::move(wave));
     stage[idx] = !result.has_value()  ? TrialStage::kNoSync
                  : !result->header_ok ? TrialStage::kHeaderFail
                  : result->psdu != psdu ? TrialStage::kPayloadFail

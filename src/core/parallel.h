@@ -15,11 +15,12 @@
 
 namespace itb::core {
 
-/// Runs fn(i) for every i in [0, count) across `num_threads` std::threads
+/// Runs fn(i) for every i in [0, count) across `num_threads` workers
 /// (0 = std::thread::hardware_concurrency()). fn must be callable
-/// concurrently for distinct i. With one thread (or count <= 1) everything
-/// runs on the calling thread. The first exception thrown by any fn is
-/// rethrown on the calling thread after all workers join.
+/// concurrently for distinct i. The calling thread is worker 0 and
+/// `workers - 1` std::threads join it; with one worker (or count <= 1)
+/// everything runs on the calling thread. The first exception thrown by any
+/// fn is rethrown on the calling thread after every worker has joined.
 template <typename Fn>
 void parallel_for(std::size_t count, std::size_t num_threads, Fn&& fn) {
   if (count == 0) return;
@@ -37,23 +38,33 @@ void parallel_for(std::size_t count, std::size_t num_threads, Fn&& fn) {
   std::atomic<std::size_t> next{0};
   std::exception_ptr first_error;
   std::mutex error_mu;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      try {
-        for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-             i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
-          fn(i);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
-        // Drain remaining work so sibling threads exit promptly.
-        next.store(count, std::memory_order_relaxed);
+  // Records the first failure and drains the remaining indices so every
+  // worker stops promptly.
+  const auto fail = [&] {
+    const std::lock_guard<std::mutex> lock(error_mu);
+    if (!first_error) first_error = std::current_exception();
+    next.store(count, std::memory_order_relaxed);
+  };
+  const auto work = [&] {
+    try {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
       }
-    });
+    } catch (...) {
+      fail();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  try {
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(work);
+  } catch (...) {
+    // A thread that cannot start fails the call like a throwing fn, and
+    // the threads already started are still joined below.
+    fail();
   }
+  work();
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }

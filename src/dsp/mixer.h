@@ -50,12 +50,18 @@ class Nco {
 /// theta grows by pn_sigma * g with g one Gaussian draw from `*rng` (no
 /// draws, and rng may be null, when pn_sigma == 0).
 ///
-/// The phasor advances by a recurrence instead of a cos/sin per sample:
-/// rot *= e^{j*step} * e^{j*pn_sigma*g}, with the small-angle factor from a
-/// fixed Taylor polynomial (relative error < 3e-14 for |pn_sigma*g| <= 0.2).
-/// Every 64 samples rot is re-anchored to the exact phasor of the summed
-/// phase, which renormalises |rot| and stops rounding drift, so the only
-/// libm calls are one sincos for e^{j*step} and one per 64 samples.
+/// Works in 64-sample anchor blocks, with no cos/sin per sample. Each block
+/// starts from the exact phasor of its summed phase (so rounding never
+/// drifts across blocks) and:
+///  - draws its phase-noise increments first, in walk order, summing the
+///    walk since the anchor as it goes;
+///  - builds e^{j(anchor + k*step)} from four interleaved sub-phasors that
+///    each step by e^{j*4*step};
+///  - turns that by e^{j*psi_k}, psi_k the walk since the anchor, from a
+///    degree-13 Taylor polynomial while |psi_k| <= 0.5 (truncation < 7e-16)
+///    and from libm in a block whose walk strays further;
+///  - multiplies the phasors into y.
+/// The libm calls are a few sincos per call plus one per block.
 void rotate_carrier(std::span<Complex> y, Real phi0, Real step,
                     Real pn_sigma = 0.0, Xoshiro256* rng = nullptr);
 

@@ -11,13 +11,6 @@ void spread_symbol(Complex symbol, CVec& out) {
   for (int c : kBarker) out.push_back(symbol * static_cast<Real>(c));
 }
 
-CVec spread(std::span<const Complex> symbols) {
-  CVec out;
-  out.reserve(symbols.size() * kBarker.size());
-  for (const Complex& s : symbols) spread_symbol(s, out);
-  return out;
-}
-
 CVec despread(std::span<const Complex> chips) {
   assert(chips.size() % kBarker.size() == 0);
   static const std::array<Real, 11> kBarkerReal = [] {

@@ -15,11 +15,8 @@ using itb::dsp::Real;
 /// The 802.11 Barker sequence, chip 0 first: +1 −1 +1 +1 −1 +1 +1 +1 −1 −1 −1.
 inline constexpr std::array<int, 11> kBarker = {1, -1, 1, 1, -1, 1, 1, 1, -1, -1, -1};
 
-/// Spreads one complex PSK symbol into 11 chips.
+/// Spreads one complex PSK symbol into 11 chips appended to `out`.
 void spread_symbol(Complex symbol, CVec& out);
-
-/// Spreads a symbol stream: out.size() == symbols.size() * 11.
-CVec spread(std::span<const Complex> symbols);
 
 /// Despreads chips back into symbols by correlating with the Barker code.
 /// chips.size() must be a multiple of 11. Output is normalized by 11 so an

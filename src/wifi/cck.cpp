@@ -1,42 +1,28 @@
 #include "wifi/cck.h"
 
 #include <cassert>
-#include <cmath>
 
 #include "wifi/dpsk.h"
 
 namespace itb::wifi {
 
-using itb::dsp::kPi;
-
-std::array<Complex, kCckChipsPerSymbol> cck_codeword(Real p1, Real p2, Real p3,
-                                                     Real p4) {
-  const auto e = [](Real p) { return Complex{std::cos(p), std::sin(p)}; };
+std::array<Complex, kCckChipsPerSymbol> cck_codeword(unsigned q1, unsigned q2,
+                                                     unsigned q3, unsigned q4) {
+  // The two negated chips carry an extra half turn.
   return {
-      e(p1 + p2 + p3 + p4),
-      e(p1 + p3 + p4),
-      e(p1 + p2 + p4),
-      -e(p1 + p4),
-      e(p1 + p2 + p3),
-      e(p1 + p3),
-      -e(p1 + p2),
-      e(p1),
+      quarter_phasor(q1 + q2 + q3 + q4),
+      quarter_phasor(q1 + q3 + q4),
+      quarter_phasor(q1 + q2 + q4),
+      quarter_phasor(q1 + q4 + 2),
+      quarter_phasor(q1 + q2 + q3),
+      quarter_phasor(q1 + q3),
+      quarter_phasor(q1 + q2 + 2),
+      quarter_phasor(q1),
   };
 }
 
-Real cck_qpsk_phase(std::uint8_t d0, std::uint8_t d1) {
-  const unsigned dibit = static_cast<unsigned>((d0 & 1u) << 1 | (d1 & 1u));
-  switch (dibit) {
-    case 0b00:
-      return 0.0;
-    case 0b01:
-      return kPi / 2.0;
-    case 0b10:
-      return kPi;
-    case 0b11:
-      return 3.0 * kPi / 2.0;
-  }
-  return 0.0;
+unsigned cck_qpsk_phase(std::uint8_t d0, std::uint8_t d1) {
+  return static_cast<unsigned>((d0 & 1u) << 1 | (d1 & 1u));
 }
 
 CckModulator::CckModulator(DsssRate rate) : rate_(rate) {
@@ -44,12 +30,12 @@ CckModulator::CckModulator(DsssRate rate) : rate_(rate) {
   bits_per_symbol_ = rate == DsssRate::k5_5Mbps ? 4 : 8;
 }
 
-void CckModulator::reset(Real initial_phase_rad) {
-  phase_ref_ = initial_phase_rad;
+void CckModulator::reset(unsigned initial_quadrant) {
+  phase_ref_ = initial_quadrant & 3u;
   symbol_index_ = 0;
 }
 
-std::array<Real, 3> CckModulator::data_phases(
+std::array<unsigned, 3> CckModulator::data_phases(
     std::span<const std::uint8_t> data) const {
   if (rate_ == DsssRate::k11Mbps) {
     assert(data.size() == 6);
@@ -58,27 +44,23 @@ std::array<Real, 3> CckModulator::data_phases(
   }
   // 5.5 Mbps (16.4.6.5): p2 = d2*pi + pi/2, p3 = 0, p4 = d3*pi.
   assert(data.size() == 2);
-  return {static_cast<Real>(data[0]) * kPi + kPi / 2.0, 0.0,
-          static_cast<Real>(data[1]) * kPi};
+  return {2u * (data[0] & 1u) + 1u, 0u, 2u * (data[1] & 1u)};
 }
 
-CVec CckModulator::modulate(const Bits& bits) {
+void CckModulator::modulate(const Bits& bits, CVec& out) {
   assert(bits.size() % bits_per_symbol_ == 0);
-  CVec out;
-  out.reserve(bits.size() / bits_per_symbol_ * kCckChipsPerSymbol);
   for (std::size_t i = 0; i < bits.size(); i += bits_per_symbol_) {
     // p1: DQPSK on (d0, d1) with an extra pi on odd-numbered symbols.
-    Real dphi = dqpsk_phase_increment(bits[i], bits[i + 1]);
-    if (symbol_index_ % 2 == 1) dphi += kPi;
-    phase_ref_ += dphi;
+    const unsigned odd = symbol_index_ % 2 == 1 ? 2u : 0u;
+    phase_ref_ =
+        (phase_ref_ + dqpsk_phase_increment(bits[i], bits[i + 1]) + odd) & 3u;
 
     const std::span<const std::uint8_t> data(&bits[i + 2], bits_per_symbol_ - 2);
-    const std::array<Real, 3> p = data_phases(data);
+    const std::array<unsigned, 3> p = data_phases(data);
     const auto cw = cck_codeword(phase_ref_, p[0], p[1], p[2]);
     out.insert(out.end(), cw.begin(), cw.end());
     ++symbol_index_;
   }
-  return out;
 }
 
 CckDemodulator::CckDemodulator(DsssRate rate) : rate_(rate) {

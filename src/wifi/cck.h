@@ -25,36 +25,40 @@ using itb::phy::Bits;
 
 inline constexpr std::size_t kCckChipsPerSymbol = 8;
 
-/// 8-chip codeword for phases (p1..p4).
-std::array<Complex, kCckChipsPerSymbol> cck_codeword(Real p1, Real p2, Real p3,
-                                                     Real p4);
+/// 8-chip codeword for phases (p1..p4), each given in quarter turns
+/// (p = q * pi/2, q mod 4). Every chip is one of the exact phasors
+/// 1, j, -1, -j.
+std::array<Complex, kCckChipsPerSymbol> cck_codeword(unsigned q1, unsigned q2,
+                                                     unsigned q3, unsigned q4);
 
-/// QPSK phase for the (d_i, d_{i+1}) dibit used by p2/p3/p4 at 11 Mbps:
-/// 00 -> 0, 01 -> pi/2, 10 -> pi, 11 -> 3pi/2 (Table 16-6).
-Real cck_qpsk_phase(std::uint8_t d0, std::uint8_t d1);
+/// QPSK phase, in quarter turns, for the (d_i, d_{i+1}) dibit used by
+/// p2/p3/p4 at 11 Mbps: 00 -> 0, 01 -> pi/2, 10 -> pi, 11 -> 3pi/2
+/// (Table 16-6).
+unsigned cck_qpsk_phase(std::uint8_t d0, std::uint8_t d1);
 
-/// CCK modulator. Stateful: tracks the DQPSK reference phase and the
+/// CCK modulator. Stateful: tracks the DQPSK reference quadrant and the
 /// even/odd symbol count (odd symbols get an extra pi on p1).
 class CckModulator {
  public:
   explicit CckModulator(DsssRate rate);
 
   /// Modulates a whole bit stream (size multiple of 4 or 8 depending on
-  /// rate) into chips.
-  CVec modulate(const Bits& bits);
+  /// rate) and appends its chips to `out`.
+  void modulate(const Bits& bits, CVec& out);
 
-  /// Phases p2..p4 for one symbol's data bits (rate-dependent mapping).
-  /// `data` holds the bits after the first DQPSK dibit: 2 bits for 5.5 Mbps,
-  /// 6 bits for 11 Mbps.
-  std::array<Real, 3> data_phases(std::span<const std::uint8_t> data) const;
+  /// Phases p2..p4, in quarter turns, for one symbol's data bits
+  /// (rate-dependent mapping). `data` holds the bits after the first DQPSK
+  /// dibit: 2 bits for 5.5 Mbps, 6 bits for 11 Mbps.
+  std::array<unsigned, 3> data_phases(std::span<const std::uint8_t> data) const;
 
   std::size_t bits_per_symbol() const { return bits_per_symbol_; }
-  void reset(Real initial_phase_rad = 0.0);
+  /// Starts a new symbol stream whose p1 reference is `initial_quadrant`.
+  void reset(unsigned initial_quadrant = 0);
 
  private:
   DsssRate rate_;
   std::size_t bits_per_symbol_;
-  Real phase_ref_ = 0.0;
+  unsigned phase_ref_ = 0;
   std::size_t symbol_index_ = 0;
 };
 

@@ -1,40 +1,28 @@
 #include "wifi/dpsk.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace itb::wifi {
 
-using itb::dsp::kPi;
+unsigned dbpsk_phase_increment(std::uint8_t bit) { return bit ? 2u : 0u; }
 
-Real dbpsk_phase_increment(std::uint8_t bit) { return bit ? kPi : 0.0; }
-
-Real dqpsk_phase_increment(std::uint8_t d0, std::uint8_t d1) {
-  const unsigned dibit = static_cast<unsigned>((d0 & 1u) << 1 | (d1 & 1u));
-  switch (dibit) {
-    case 0b00:
-      return 0.0;
-    case 0b01:
-      return kPi / 2.0;
-    case 0b11:
-      return kPi;
-    case 0b10:
-      return 3.0 * kPi / 2.0;
-  }
-  return 0.0;
+unsigned dqpsk_phase_increment(std::uint8_t d0, std::uint8_t d1) {
+  // Gray order: 00 -> 0, 01 -> 1, 11 -> 2, 10 -> 3 quarter turns.
+  constexpr unsigned kQuarters[4] = {0, 1, 3, 2};
+  return kQuarters[(d0 & 1u) << 1 | (d1 & 1u)];
 }
 
-CVec dbpsk_encode(const Bits& bits, Real initial_phase_rad) {
-  DifferentialEncoder enc(initial_phase_rad);
+CVec dbpsk_encode(const Bits& bits, unsigned initial_quadrant) {
+  DifferentialEncoder enc(initial_quadrant);
   CVec out;
   out.reserve(bits.size());
   for (std::uint8_t b : bits) out.push_back(enc.encode_increment(dbpsk_phase_increment(b)));
   return out;
 }
 
-CVec dqpsk_encode(const Bits& bits, Real initial_phase_rad) {
+CVec dqpsk_encode(const Bits& bits, unsigned initial_quadrant) {
   assert(bits.size() % 2 == 0);
-  DifferentialEncoder enc(initial_phase_rad);
+  DifferentialEncoder enc(initial_quadrant);
   CVec out;
   out.reserve(bits.size() / 2);
   for (std::size_t i = 0; i + 1 < bits.size(); i += 2) {

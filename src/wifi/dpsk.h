@@ -17,36 +17,47 @@ using itb::dsp::CVec;
 using itb::dsp::Real;
 using itb::phy::Bits;
 
-/// DBPSK phase increment for one bit: 0 -> 0, 1 -> pi
-/// (IEEE 802.11-2016 Table 15-2).
-Real dbpsk_phase_increment(std::uint8_t bit);
+/// e^{j q pi/2} for a quarter-turn count q (mod 4): one of the four exact
+/// phasors 1, j, -1, -j.
+inline Complex quarter_phasor(unsigned q) {
+  constexpr Real kRe[4] = {1.0, 0.0, -1.0, 0.0};
+  constexpr Real kIm[4] = {0.0, 1.0, 0.0, -1.0};
+  return {kRe[q & 3u], kIm[q & 3u]};
+}
 
-/// DQPSK phase increment for a dibit (d0 first in time):
+/// DBPSK phase increment for one bit, in quarter turns: 0 -> 0, 1 -> pi
+/// (IEEE 802.11-2016 Table 15-2).
+unsigned dbpsk_phase_increment(std::uint8_t bit);
+
+/// DQPSK phase increment for a dibit (d0 first in time), in quarter turns:
 /// 00 -> 0, 01 -> pi/2, 11 -> pi, 10 -> 3pi/2 (Table 15-3).
-Real dqpsk_phase_increment(std::uint8_t d0, std::uint8_t d1);
+unsigned dqpsk_phase_increment(std::uint8_t d0, std::uint8_t d1);
 
 /// Differential encoder state machine producing unit-magnitude symbols.
+/// The phase is a quadrant (quarter turns mod 4), so every symbol is one of
+/// the exact phasors 1, j, -1, -j.
 class DifferentialEncoder {
  public:
-  explicit DifferentialEncoder(Real initial_phase_rad = 0.0)
-      : phase_(initial_phase_rad) {}
+  explicit DifferentialEncoder(unsigned initial_quadrant = 0)
+      : quadrant_(initial_quadrant & 3u) {}
 
-  Complex encode_increment(Real dphi) {
-    phase_ += dphi;
-    return Complex{std::cos(phase_), std::sin(phase_)};
+  /// Advances the phase by `quarters` * pi/2 and returns the new symbol.
+  Complex encode_increment(unsigned quarters) {
+    quadrant_ = (quadrant_ + quarters) & 3u;
+    return quarter_phasor(quadrant_);
   }
 
-  Real phase() const { return phase_; }
+  unsigned quadrant() const { return quadrant_; }
 
  private:
-  Real phase_;
+  unsigned quadrant_;
 };
 
 /// DBPSK-encodes a bit stream into symbols.
-CVec dbpsk_encode(const Bits& bits, Real initial_phase_rad = 0.0);
+CVec dbpsk_encode(const Bits& bits, unsigned initial_quadrant = 0);
 
 /// DQPSK-encodes a bit stream (even length) into symbols.
-CVec dqpsk_encode(const Bits& bits, Real initial_phase_rad = 0.0);
+CVec dqpsk_encode(const Bits& bits, unsigned initial_quadrant = 0);
 
 /// Differential decode: recovers bits from received symbols given the symbol
 /// preceding the first one (reference). Decisions are sign tests on

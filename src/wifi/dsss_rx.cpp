@@ -38,12 +38,10 @@ CVec barker_pattern() {
 
 }  // namespace
 
-std::optional<DsssRxResult> DsssReceiver::receive(const CVec& rx_chips) const {
+std::optional<DsssRxResult> DsssReceiver::receive(CVec chips) const {
   static const std::size_t kZone = obs::prof_zone("phy.dsss_rx");
   const obs::ProfZone prof(kZone);
-  if (rx_chips.size() < 2 * kBarker.size()) return std::nullopt;
-  // Derotated in place by the CFO stage below.
-  CVec chips = rx_chips;
+  if (chips.size() < 2 * kBarker.size()) return std::nullopt;
 
   // --- 1. Chip-timing acquisition over the 11 possible alignments ----------
   // One sliding correlation over the probe region yields every

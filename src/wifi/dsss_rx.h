@@ -31,9 +31,11 @@ struct DsssRxResult {
 /// waveforms integrate-and-dump to chip rate first, as simulate_frame does.
 class DsssReceiver {
  public:
-  /// Attempts to find and decode one frame in the chip stream.
-  /// Returns nullopt when no preamble/SFD is found.
-  std::optional<DsssRxResult> receive(const CVec& chips) const;
+  /// Attempts to find and decode one frame in the chip stream, which it
+  /// takes by value because it derotates the chips in place (callers done
+  /// with their buffer move it in). Returns nullopt when no preamble/SFD is
+  /// found.
+  std::optional<DsssRxResult> receive(CVec chips) const;
 };
 
 }  // namespace itb::wifi

@@ -3,7 +3,10 @@
 // model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "backscatter/detector.h"
 #include "backscatter/ic_power.h"
@@ -368,6 +371,38 @@ TEST(WifiSynth, DsbVariantWastesSpectrum) {
   const Real rej = itb::dsp::sideband_rejection_db(
       psd, 35.75e6 - 11e6, 35.75e6 + 11e6, -35.75e6 - 11e6, -35.75e6 + 11e6);
   EXPECT_LT(std::abs(rej), 1.5);  // both sidebands carry equal power
+}
+
+TEST(WifiSynth, DsbKeepsChipsOneAndJAndFlipsMinusOneAndMinusJ) {
+  // The 2-state tag realizes each chip as the nearer of +-e^{j pi/4}: the
+  // exact chips 1 and j keep the carrier, -1 and -j flip it.
+  WifiSynthConfig cfg;
+  cfg.rate = itb::wifi::DsssRate::k11Mbps;
+  const WifiSynthResult dsb =
+      synthesize_wifi_dsb(itb::phy::Bytes(31, 0x5A), cfg);
+  const CVec& chips = dsb.frame.baseband;
+  const std::array<Complex, 4> axes = {Complex{1, 0}, Complex{0, 1},
+                                       Complex{-1, 0}, Complex{0, -1}};
+  std::array<std::size_t, 4> seen{};
+  std::vector<std::uint8_t> flips(chips.size());
+  for (std::size_t i = 0; i < chips.size(); ++i) {
+    const auto it = std::find(axes.begin(), axes.end(), chips[i]);
+    ASSERT_NE(it, axes.end()) << "chip " << i << " is not on an axis";
+    const auto q = static_cast<std::size_t>(it - axes.begin());
+    ++seen[q];
+    flips[i] = q >= 2 ? 1 : 0;
+  }
+  for (std::size_t q = 0; q < 4; ++q) EXPECT_GT(seen[q], 0u) << "axis " << q;
+
+  SsbConfig scfg;
+  scfg.shift_hz = cfg.shift_hz;
+  scfg.sample_rate_hz = cfg.sample_rate_hz;
+  scfg.network = cfg.network;
+  const CVec want = DsbModulator(scfg).modulate(expand_rotations(flips, 13));
+  ASSERT_EQ(dsb.waveform.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(dsb.waveform[i], want[i]) << "sample " << i;
+  }
 }
 
 TEST(WifiSynth, PaperNetworkStillDecodesAt2Mbps) {

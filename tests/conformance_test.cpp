@@ -83,7 +83,7 @@ TEST(Conformance, Cck5_5Codewords) {
     const std::uint8_t d3 = static_cast<std::uint8_t>(vals[1]);
     const std::array<std::uint8_t, 2> data = {d2, d3};
     const auto p = mod.data_phases(std::span<const std::uint8_t>(data));
-    const auto cw = wifi::cck_codeword(0.0, p[0], p[1], p[2]);
+    const auto cw = wifi::cck_codeword(0, p[0], p[1], p[2]);
     for (std::size_t c = 0; c < cw.size(); ++c) {
       EXPECT_NEAR(cw[c].real(), vals[2 + 2 * c], 1e-9)
           << "d2=" << int(d2) << " d3=" << int(d3) << " chip " << c;
@@ -103,7 +103,7 @@ TEST(Conformance, Cck11Codewords) {
     std::array<std::uint8_t, 6> data{};
     for (int i = 0; i < 6; ++i) data[i] = static_cast<std::uint8_t>(vals[i]);
     const auto p = mod.data_phases(std::span<const std::uint8_t>(data));
-    const auto cw = wifi::cck_codeword(0.0, p[0], p[1], p[2]);
+    const auto cw = wifi::cck_codeword(0, p[0], p[1], p[2]);
     for (std::size_t c = 0; c < cw.size(); ++c) {
       EXPECT_NEAR(cw[c].real(), vals[6 + 2 * c], 1e-9) << "chip " << c;
       EXPECT_NEAR(cw[c].imag(), vals[7 + 2 * c], 1e-9) << "chip " << c;

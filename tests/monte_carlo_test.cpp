@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "ble/channel_map.h"
@@ -45,6 +47,52 @@ TEST(ParallelFor, PropagatesWorkerException) {
                      if (i == 37) throw std::runtime_error("boom");
                    }),
       std::runtime_error);
+}
+
+TEST(ParallelFor, ExceptionOnAnyIndexIsRethrownAfterEveryWorkerJoins) {
+  // The caller is worker 0, so the throwing index may land on the calling
+  // thread or on a spawned one: throw from each index in turn. Bodies that
+  // do not throw sleep, so an early rethrow would find some still running.
+  constexpr std::size_t n = 8;
+  for (std::size_t bad = 0; bad < n; ++bad) {
+    std::atomic<int> running{0};
+    std::atomic<int> finished{0};
+    EXPECT_THROW(parallel_for(n, 4,
+                              [&](std::size_t i) {
+                                running.fetch_add(1);
+                                if (i == bad) {
+                                  running.fetch_sub(1);
+                                  throw std::runtime_error("boom");
+                                }
+                                std::this_thread::sleep_for(
+                                    std::chrono::milliseconds(2));
+                                finished.fetch_add(1);
+                                running.fetch_sub(1);
+                              }),
+                 std::runtime_error)
+        << "bad index " << bad;
+    EXPECT_EQ(running.load(), 0) << "bad index " << bad;
+    EXPECT_LT(finished.load(), static_cast<int>(n)) << "bad index " << bad;
+  }
+}
+
+TEST(ParallelFor, FewerIndicesThanWorkers) {
+  for (std::size_t n = 1; n <= 3; ++n) {
+    std::vector<std::atomic<int>> hits(n);
+    parallel_for(n, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << n << " " << i;
+  }
+}
+
+TEST(ParallelFor, NestedCallCoversAllItsIndices) {
+  constexpr std::size_t outer = 4;
+  constexpr std::size_t inner = 50;
+  std::vector<std::atomic<int>> hits(outer * inner);
+  parallel_for(outer, 2, [&](std::size_t o) {
+    parallel_for(inner, 3,
+                 [&](std::size_t i) { hits[o * inner + i].fetch_add(1); });
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k) EXPECT_EQ(hits[k].load(), 1) << k;
 }
 
 TEST(TrialSeed, SubstreamsAreDistinct) {

@@ -98,7 +98,8 @@ TEST(CckExhaustive, All256ElevenMbpsSymbolsRoundTrip) {
     wifi::CckDemodulator demod(wifi::DsssRate::k11Mbps);
     phy::Bits bits(16, 0);
     for (int b = 0; b < 8; ++b) bits[8 + b] = (v >> b) & 1;
-    const auto chips = mod.modulate(bits);
+    itb::dsp::CVec chips;
+    mod.modulate(bits, chips);
     const auto out = demod.demodulate(chips);
     EXPECT_EQ(out, bits) << "symbol " << v;
   }
@@ -110,7 +111,8 @@ TEST(CckExhaustive, All16FiveMbpsSymbolsRoundTrip) {
     wifi::CckDemodulator demod(wifi::DsssRate::k5_5Mbps);
     phy::Bits bits(8, 0);
     for (int b = 0; b < 4; ++b) bits[4 + b] = (v >> b) & 1;
-    const auto chips = mod.modulate(bits);
+    itb::dsp::CVec chips;
+    mod.modulate(bits, chips);
     const auto out = demod.demodulate(chips);
     EXPECT_EQ(out, bits) << "symbol " << v;
   }

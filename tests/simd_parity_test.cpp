@@ -318,7 +318,8 @@ TEST(SimdParity, CckDemodulateDispatchInvariant) {
   Xoshiro256 rng(splitmix64(18000));
   itb::phy::Bits bits(8 * 32);
   for (auto& b : bits) b = rng.bit();
-  CVec chips = mod.modulate(bits);
+  CVec chips;
+  mod.modulate(bits, chips);
   for (auto& c : chips) c += rng.complex_gaussian(0.05);
   itb::wifi::CckDemodulator demod(itb::wifi::DsssRate::k11Mbps);
   const itb::phy::Bits with = demod.demodulate(chips);

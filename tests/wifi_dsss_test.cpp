@@ -29,9 +29,15 @@ using itb::phy::Bytes;
 
 // --- Barker -------------------------------------------------------------------
 
+CVec spread_all(const CVec& symbols) {
+  CVec chips;
+  for (const Complex& s : symbols) spread_symbol(s, chips);
+  return chips;
+}
+
 TEST(Barker, SpreadDespreadRoundTrip) {
   const CVec symbols = {{1, 0}, {0, 1}, {-1, 0}, {0, -1}};
-  const CVec chips = spread(symbols);
+  const CVec chips = spread_all(symbols);
   ASSERT_EQ(chips.size(), 44u);
   const CVec back = despread(chips);
   ASSERT_EQ(back.size(), symbols.size());
@@ -55,7 +61,7 @@ TEST(Barker, AutocorrelationSidelobesAreLow) {
 TEST(Barker, ProcessingGainAgainstNoise) {
   itb::dsp::Xoshiro256 rng(1);
   const CVec symbols(50, Complex{1.0, 0.0});
-  CVec chips = spread(symbols);
+  CVec chips = spread_all(symbols);
   // 0 dB SNR at chip level.
   chips = itb::channel::add_noise_snr(chips, 0.0, rng);
   const CVec back = despread(chips);
@@ -92,12 +98,13 @@ TEST(Dpsk, RotationInvariance) {
 }
 
 TEST(Dpsk, PhaseIncrements) {
-  EXPECT_DOUBLE_EQ(dbpsk_phase_increment(0), 0.0);
-  EXPECT_DOUBLE_EQ(dbpsk_phase_increment(1), itb::dsp::kPi);
-  EXPECT_DOUBLE_EQ(dqpsk_phase_increment(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(dqpsk_phase_increment(0, 1), itb::dsp::kPi / 2);
-  EXPECT_DOUBLE_EQ(dqpsk_phase_increment(1, 1), itb::dsp::kPi);
-  EXPECT_DOUBLE_EQ(dqpsk_phase_increment(1, 0), 3 * itb::dsp::kPi / 2);
+  // Quarter turns: 0, pi and 0, pi/2, pi, 3pi/2.
+  EXPECT_EQ(dbpsk_phase_increment(0), 0u);
+  EXPECT_EQ(dbpsk_phase_increment(1), 2u);
+  EXPECT_EQ(dqpsk_phase_increment(0, 0), 0u);
+  EXPECT_EQ(dqpsk_phase_increment(0, 1), 1u);
+  EXPECT_EQ(dqpsk_phase_increment(1, 1), 2u);
+  EXPECT_EQ(dqpsk_phase_increment(1, 0), 3u);
 }
 
 TEST(Dpsk, NearestQuarter) {
@@ -132,49 +139,67 @@ TEST(Dpsk, SignTestDecisionsMatchArgReference) {
     EXPECT_EQ(dqpsk[2 * i], dibit[0]) << i;
     EXPECT_EQ(dqpsk[2 * i + 1], dibit[1]) << i;
     // The dibit table inverts the encoder's increments.
-    EXPECT_EQ(dqpsk_phase_increment(dibit[0], dibit[1]),
-              arg_quarter(dphi) * (itb::dsp::kPi / 2.0));
+    EXPECT_EQ(dqpsk_phase_increment(dibit[0], dibit[1]), arg_quarter(dphi));
     prev = sym[i];
   }
 }
 
-// --- Receiver CFO derotation -------------------------------------------------
+// --- Carrier phasor ---------------------------------------------------------
 
 TEST(CarrierPhasor, MatchesPerChipRotationBothSigns) {
   // The receiver derotates by the estimated per-chip step, up to a quarter
-  // turn per 11-chip symbol (+-250 kHz at 11 Mchip/s).
+  // turn per 11-chip symbol (+-250 kHz at 11 Mchip/s); the channel adds a
+  // Wiener walk. Reference: e^{j(phi0 + i*step + theta_i)} with theta_i
+  // replayed from the same draws. pn_sigma 0.0107 is the implant preset's
+  // 200 Hz linewidth; at 0.1 the walk strays beyond 0.5 rad inside many
+  // 64-sample anchor blocks, which pins the polynomial's range. 120
+  // frames of 2,500 chips: 300k samples.
   itb::dsp::Xoshiro256 rng(616);
   CVec chips(2500);
   for (auto& c : chips) c = rng.complex_gaussian(1.0);
+  std::size_t far_blocks = 0;
   for (const Real cfo_hz : {250e3, -250e3, 97e3, -41e3, 1.0}) {
-    const Real phi_chip = itb::dsp::kTwoPi * cfo_hz / 11e6;
-    CVec got = chips;
-    itb::dsp::rotate_carrier(got, 0.0, -phi_chip);
-    Real worst = 0.0;
-    for (std::size_t i = 0; i < chips.size(); ++i) {
-      const Real phase = -phi_chip * static_cast<Real>(i);
-      const Complex want = chips[i] * Complex{std::cos(phase), std::sin(phase)};
-      worst = std::max(worst, std::abs(got[i] - want));
+    for (const Real pn_sigma : {0.0, 0.0107, 0.1}) {
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const Real phi_chip = itb::dsp::kTwoPi * cfo_hz / 11e6;
+        const Real phi0 = 0.37 * static_cast<Real>(seed);
+        CVec got = chips;
+        itb::dsp::Xoshiro256 walk(itb::dsp::splitmix64(seed));
+        itb::dsp::rotate_carrier(got, phi0, -phi_chip, pn_sigma, &walk);
+        itb::dsp::Xoshiro256 replay(itb::dsp::splitmix64(seed));
+        Real theta = 0.0;
+        Real block_start = 0.0;
+        Real worst = 0.0;
+        for (std::size_t i = 0; i < chips.size(); ++i) {
+          if (i % 64 == 0) block_start = theta;
+          if (i % 64 == 63 && std::abs(theta - block_start) > 0.5) ++far_blocks;
+          const Real phase = phi0 - phi_chip * static_cast<Real>(i) + theta;
+          const Complex want = chips[i] * Complex{std::cos(phase), std::sin(phase)};
+          worst = std::max(worst, std::abs(got[i] - want));
+          if (pn_sigma > 0.0) theta += pn_sigma * replay.gaussian();
+        }
+        EXPECT_LT(worst, 1e-12) << cfo_hz << " Hz, sigma " << pn_sigma
+                                << ", seed " << seed;
+      }
     }
-    EXPECT_LT(worst, 1e-12) << cfo_hz << " Hz";
   }
+  EXPECT_GT(far_blocks, 100u);
 }
 
 // --- CCK -----------------------------------------------------------------------
 
 TEST(Cck, CodewordsAreUnitMagnitude) {
-  const auto cw = cck_codeword(0.3, 1.1, 2.2, 0.7);
+  const auto cw = cck_codeword(1, 2, 3, 1);
   for (const auto& c : cw) EXPECT_NEAR(std::abs(c), 1.0, 1e-12);
 }
 
 TEST(Cck, Base64CodewordsAreDistinct) {
   // All 64 (p2,p3,p4) combinations at 11 Mbps must give distinct codewords.
   std::vector<std::array<Complex, 8>> words;
-  for (int a = 0; a < 4; ++a) {
-    for (int b = 0; b < 4; ++b) {
-      for (int c = 0; c < 4; ++c) {
-        const Real q = itb::dsp::kPi / 2;
-        words.push_back(cck_codeword(0.0, a * q, b * q, c * q));
+  for (unsigned a = 0; a < 4; ++a) {
+    for (unsigned b = 0; b < 4; ++b) {
+      for (unsigned c = 0; c < 4; ++c) {
+        words.push_back(cck_codeword(0, a, b, c));
       }
     }
   }
@@ -197,7 +222,8 @@ TEST_P(CckRoundTrip, CleanChannel) {
   Bits bits;
   const std::size_t n = rate == DsssRate::k5_5Mbps ? 4 * 50 : 8 * 50;
   for (std::size_t i = 0; i < n; ++i) bits.push_back(rng.bit());
-  const CVec chips = mod.modulate(bits);
+  CVec chips;
+  mod.modulate(bits, chips);
   const Bits out = demod.demodulate(chips);
   EXPECT_EQ(out, bits);
 }
@@ -210,7 +236,8 @@ TEST_P(CckRoundTrip, NoisyChannel10Db) {
   Bits bits;
   const std::size_t n = rate == DsssRate::k5_5Mbps ? 4 * 100 : 8 * 100;
   for (std::size_t i = 0; i < n; ++i) bits.push_back(rng.bit());
-  CVec chips = mod.modulate(bits);
+  CVec chips;
+  mod.modulate(bits, chips);
   chips = itb::channel::add_noise_snr(chips, 10.0, rng);
   const Bits out = demod.demodulate(chips);
   EXPECT_EQ(itb::phy::hamming_distance(out, bits), 0u);
@@ -219,14 +246,14 @@ TEST_P(CckRoundTrip, NoisyChannel10Db) {
 INSTANTIATE_TEST_SUITE_P(Rates, CckRoundTrip,
                          ::testing::Values(DsssRate::k5_5Mbps, DsssRate::k11Mbps));
 
-// Candidate v's base codeword (p1 = 0), built from cos/sin phases.
+// Candidate v's base codeword (p1 = 0), built from the modulator's phases.
 std::array<Complex, kCckChipsPerSymbol> direct_codeword(DsssRate rate,
                                                         std::size_t v) {
   const std::size_t data_bits = rate == DsssRate::k11Mbps ? 6 : 2;
   Bits bits(data_bits);
   for (std::size_t b = 0; b < data_bits; ++b) bits[b] = (v >> b) & 1;
   const auto p = CckModulator(rate).data_phases(bits);
-  return cck_codeword(0.0, p[0], p[1], p[2]);
+  return cck_codeword(0, p[0], p[1], p[2]);
 }
 
 class CckQuarterTurn : public ::testing::TestWithParam<DsssRate> {};
@@ -505,6 +532,36 @@ TEST(DsssLoopbackMisc, TruncatedCaptureReportsHeaderOnly) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->header_ok);
   EXPECT_TRUE(result->psdu.empty());
+}
+
+TEST(DsssTx, ChipsAreExactQuarterTurns) {
+  // Quadrant phases give every chip exactly as one of 1, j, -1, -j (times
+  // the +-1 Barker chip), at every rate and with both preambles.
+  const std::array<Complex, 4> kQuarters = {
+      Complex{1.0, 0.0}, Complex{0.0, 1.0}, Complex{-1.0, 0.0},
+      Complex{0.0, -1.0}};
+  itb::dsp::Xoshiro256 rng(23);
+  Bytes psdu(40);
+  for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  for (const DsssRate rate : {DsssRate::k1Mbps, DsssRate::k2Mbps,
+                              DsssRate::k5_5Mbps, DsssRate::k11Mbps}) {
+    for (const bool short_preamble : {false, true}) {
+      DsssTxConfig txcfg;
+      txcfg.rate = rate;
+      txcfg.short_tag_preamble = short_preamble;
+      const DsssFrame frame = DsssTransmitter(txcfg).modulate(psdu);
+      for (std::size_t i = 0; i < frame.baseband.size(); ++i) {
+        const Complex c = frame.baseband[i];
+        ASSERT_TRUE(std::find(kQuarters.begin(), kQuarters.end(), c) !=
+                    kQuarters.end())
+            << rate_name(rate) << " short " << short_preamble << " chip " << i
+            << " = (" << c.real() << ", " << c.imag() << ")";
+      }
+      const auto result = DsssReceiver().receive(frame.baseband);
+      ASSERT_TRUE(result.has_value()) << rate_name(rate);
+      EXPECT_EQ(result->psdu, psdu) << rate_name(rate) << " short " << short_preamble;
+    }
+  }
 }
 
 // --- rates / payload budget (paper §2.3.3) -----------------------------------------
