@@ -1,5 +1,6 @@
 #include "channel/link.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "channel/awgn.h"
@@ -9,25 +10,44 @@ namespace itb::channel {
 
 LinkSample backscatter_rssi(const BackscatterLinkConfig& cfg,
                             Real tag_rx_distance_m) {
+  const BackscatterBudget budget(cfg);
+  return budget.sample(budget.helper_leg(cfg.ble_tag_distance_m),
+                       tag_rx_distance_m);
+}
+
+BackscatterBudget::BackscatterBudget(const BackscatterLinkConfig& cfg)
+    : pathloss_(cfg.pathloss),
+      ref_loss_db_(cfg.pathloss.reference_loss_db()),
+      illumination_dbm_(cfg.ble_tx_power_dbm +
+                        cfg.ble_antenna.effective_gain_dbi() +
+                        cfg.tag_antenna.effective_gain_dbi()),
+      medium_loss_db_(cfg.tag_medium_loss_db),
+      conversion_loss_db_(cfg.backscatter_conversion_loss_db),
+      tag_gain_dbi_(cfg.tag_antenna.effective_gain_dbi()),
+      rx_gain_dbi_(cfg.rx_antenna.effective_gain_dbi()),
+      noise_dbm_(
+          thermal_noise_dbm(cfg.rx_bandwidth_hz, cfg.rx_noise_figure_db)) {}
+
+BackscatterBudget::HelperLeg BackscatterBudget::helper_leg(
+    Real ble_tag_distance_m) const {
+  const Real pl1 = pathloss_.pathloss_db(ble_tag_distance_m, ref_loss_db_);
+  return {ble_tag_distance_m, illumination_dbm_ - pl1 - medium_loss_db_};
+}
+
+LinkSample BackscatterBudget::sample(const HelperLeg& leg,
+                                     Real tag_rx_distance_m) const {
   // Degenerate geometry (non-positive or NaN distances) drives the
   // pathloss model to NaN/-inf; report an explicit dead link instead of
   // letting the garbage reach reservation and PER math downstream.
-  if (!(cfg.ble_tag_distance_m > 0.0) || !(tag_rx_distance_m > 0.0)) {
+  if (!(leg.distance_m > 0.0) || !(tag_rx_distance_m > 0.0)) {
     return {kLinkDownDb, kLinkDownDb, kLinkDownDb, true};
   }
+  const Real incident = leg.incident_dbm;
+  const Real pl2 = pathloss_.pathloss_db(tag_rx_distance_m, ref_loss_db_);
+  const Real rssi = incident - conversion_loss_db_ - medium_loss_db_ +
+                    tag_gain_dbi_ - pl2 + rx_gain_dbi_;
 
-  const Real pl1 = cfg.pathloss.pathloss_db(cfg.ble_tag_distance_m);
-  const Real incident = cfg.ble_tx_power_dbm + cfg.ble_antenna.effective_gain_dbi() +
-                        cfg.tag_antenna.effective_gain_dbi() - pl1 -
-                        cfg.tag_medium_loss_db;
-
-  const Real pl2 = cfg.pathloss.pathloss_db(tag_rx_distance_m);
-  const Real rssi = incident - cfg.backscatter_conversion_loss_db -
-                    cfg.tag_medium_loss_db + cfg.tag_antenna.effective_gain_dbi() -
-                    pl2 + cfg.rx_antenna.effective_gain_dbi();
-
-  const Real noise = thermal_noise_dbm(cfg.rx_bandwidth_hz, cfg.rx_noise_figure_db);
-  LinkSample out{rssi, rssi - noise, incident, false};
+  LinkSample out{rssi, rssi - noise_dbm_, incident, false};
   // NaN losses / gains / noise figures (a detuned model, not just a far
   // tag) must also surface as link_down rather than NaN.
   if (!std::isfinite(out.rssi_dbm) || !std::isfinite(out.snr_db) ||
@@ -52,21 +72,37 @@ Real ber_dqpsk(Real ebn0_db) {
 }
 
 Real per_80211b(itb::wifi::DsssRate rate, Real snr_db, std::size_t psdu_bytes) {
+  const DsssPerAtSnr at(snr_db);
+  return at.per(at.payload_ber(rate), psdu_bytes);
+}
+
+// The channel SNR is in 22 MHz; Eb/N0 = SNR * BW / bitrate.
+constexpr Real kDsssBandwidthHz = 22e6;
+
+DsssPerAtSnr::DsssPerAtSnr(Real snr_db)
+    // NaN SNR (garbage budget input) and the link-down sentinel are both
+    // certain loss, not NaN PER.
+    : snr_db_(snr_db), dead_(std::isnan(snr_db) || snr_db <= kLinkDownDb) {
+  if (dead_) return;
+  // Preamble+header at 1 Mbps DBPSK, then payload at the data rate.
+  const Real hdr_ebn0_db = snr_db + 10.0 * std::log10(kDsssBandwidthHz / 1e6);
+  const Real hdr_ber = std::min(ber_dbpsk(hdr_ebn0_db), 0.5);
+  const double hdr_bits = 48.0;  // header; SFD detection is more robust
+  header_ok_ = std::pow(1.0 - hdr_ber, hdr_bits);
+}
+
+Real DsssPerAtSnr::payload_ber(itb::wifi::DsssRate rate) const {
   using itb::wifi::DsssRate;
-  // NaN SNR (garbage budget input) and the link-down sentinel are both
-  // certain loss, not NaN PER.
-  if (std::isnan(snr_db) || snr_db <= kLinkDownDb) return 1.0;
+  if (dead_) return 0.5;
   // Implementation loss: real receivers lose ~3 dB to chip-timing
   // acquisition, differential detection and channel estimation relative to
   // ideal coherent detection. Not fitted: bench/ablation_per_model prints
   // how far this closed form sits left of the waveform-level Monte Carlo
   // at PER 0.5 and 0.1 (about 1-2 dB optimistic at 2 and 11 Mbps).
   constexpr Real kImplementationLossDb = 3.0;
-  // Convert channel SNR (22 MHz) to Eb/N0: Eb/N0 = SNR * BW / bitrate.
   const Real bitrate = rate_mbps(rate) * 1e6;
-  const Real bw = 22e6;
-  const Real ebn0_db =
-      snr_db - kImplementationLossDb + 10.0 * std::log10(bw / bitrate);
+  const Real ebn0_db = snr_db_ - kImplementationLossDb +
+                       10.0 * std::log10(kDsssBandwidthHz / bitrate);
 
   Real ber = 0.0;
   switch (rate) {
@@ -87,16 +123,13 @@ Real per_80211b(itb::wifi::DsssRate rate, Real snr_db, std::size_t psdu_bytes) {
       ber = ber_dqpsk(ebn0_db + 2.0);
       break;
   }
-  ber = std::min(ber, 0.5);
+  return std::min(ber, 0.5);
+}
 
-  // Preamble+header at 1 Mbps DBPSK, then payload at the data rate.
-  const Real hdr_ebn0_db = snr_db + 10.0 * std::log10(bw / 1e6);
-  const Real hdr_ber = std::min(ber_dbpsk(hdr_ebn0_db), 0.5);
-  const double hdr_bits = 48.0;  // header; SFD detection is more robust
+Real DsssPerAtSnr::per(Real payload_ber, std::size_t psdu_bytes) const {
+  if (dead_) return 1.0;
   const double payload_bits = static_cast<double>(psdu_bytes) * 8.0;
-
-  const Real p_ok = std::pow(1.0 - hdr_ber, hdr_bits) *
-                    std::pow(1.0 - ber, payload_bits);
+  const Real p_ok = header_ok_ * std::pow(1.0 - payload_ber, payload_bits);
   return 1.0 - p_ok;
 }
 

@@ -12,12 +12,19 @@ Real friis_pathloss_db(Real distance_m, Real freq_hz) {
 }
 
 Real LogDistanceModel::pathloss_db(Real distance_m) const {
+  return pathloss_db(distance_m, reference_loss_db());
+}
+
+Real LogDistanceModel::reference_loss_db() const {
+  return friis_pathloss_db(reference_m, freq_hz);
+}
+
+Real LogDistanceModel::pathloss_db(Real distance_m, Real ref_loss_db) const {
   const Real d = std::max(distance_m, 0.01);
-  const Real pl0 = friis_pathloss_db(reference_m, freq_hz);
   if (d <= reference_m) {
     return friis_pathloss_db(d, freq_hz);
   }
-  return pl0 + 10.0 * exponent * std::log10(d / reference_m);
+  return ref_loss_db + 10.0 * exponent * std::log10(d / reference_m);
 }
 
 Real perpendicular_range_m(Real ble_tag_separation_m, Real perpendicular_m) {

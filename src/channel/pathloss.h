@@ -23,6 +23,12 @@ struct LogDistanceModel {
   Real freq_hz = 2.44e9;
 
   Real pathloss_db(Real distance_m) const;
+  /// FSPL(d0), the reference term of pathloss_db.
+  Real reference_loss_db() const;
+  /// pathloss_db with FSPL(d0) passed in as reference_loss_db(), for
+  /// callers that evaluate many distances under one model; the same
+  /// double as pathloss_db(distance_m).
+  Real pathloss_db(Real distance_m, Real ref_loss_db) const;
 };
 
 /// Geometry helper for the paper's Fig. 10 setup: the Wi-Fi receiver moves

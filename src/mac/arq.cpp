@@ -90,19 +90,25 @@ FallbackConfig FallbackConfig::validated() const {
   return out;
 }
 
+RungRange reachable_rungs(const FallbackConfig& cfg, LinkWaveform initial) {
+  LinkWaveform floor = initial;
+  if (cfg.enable_rate_fallback) {
+    floor = std::max(initial, cfg.enable_zigbee_fallback
+                                  ? LinkWaveform::kZigbee
+                                  : LinkWaveform::kWifi1Mbps);
+  }
+  return {initial, floor};
+}
+
 RateFallbackController::RateFallbackController(const FallbackConfig& cfg,
                                                LinkWaveform initial)
-    : cfg_(cfg.validated()), initial_(initial), current_(initial) {}
-
-bool RateFallbackController::can_step_down() const {
-  if (current_ == LinkWaveform::kZigbee) return false;
-  if (current_ == LinkWaveform::kWifi1Mbps) return cfg_.enable_zigbee_fallback;
-  return true;
-}
+    : cfg_(cfg.validated()),
+      range_(reachable_rungs(cfg_, initial)),
+      current_(initial) {}
 
 void RateFallbackController::on_success() {
   fail_streak_ = 0;
-  if (!cfg_.enable_rate_fallback || current_ == initial_) return;
+  if (current_ == range_.top) return;
   if (++success_streak_ >= cfg_.up_after_successes) {
     current_ = static_cast<LinkWaveform>(static_cast<std::uint8_t>(current_) - 1);
     ++upshifts_;
@@ -112,8 +118,8 @@ void RateFallbackController::on_success() {
 
 void RateFallbackController::on_failure() {
   success_streak_ = 0;
-  if (!cfg_.enable_rate_fallback) return;
-  if (++fail_streak_ >= cfg_.down_after_failures && can_step_down()) {
+  if (current_ == range_.floor) return;
+  if (++fail_streak_ >= cfg_.down_after_failures) {
     current_ = static_cast<LinkWaveform>(static_cast<std::uint8_t>(current_) + 1);
     ++downshifts_;
     fail_streak_ = 0;

@@ -116,16 +116,29 @@ struct FallbackConfig {
   FallbackConfig validated() const;
 };
 
+/// The rungs a RateFallbackController can ever occupy, in ladder order:
+/// from `top` (its initial rung; it never climbs above it) down to `floor`.
+struct RungRange {
+  LinkWaveform top = LinkWaveform::kWifi2Mbps;
+  LinkWaveform floor = LinkWaveform::kWifi2Mbps;
+};
+
+/// The one range rule: a controller built from (cfg, initial) reaches
+/// [initial, floor], where the floor is `initial` without rate fallback,
+/// 1 Mbps without the ZigBee swap, and ZigBee otherwise (never above
+/// `initial`). The controller steps down only to this floor, and the
+/// network simulator's link build evaluates PERs only inside the range.
+RungRange reachable_rungs(const FallbackConfig& cfg, LinkWaveform initial);
+
 /// Per-tag fallback state machine. Holds no RNG; feed it attempt outcomes.
-/// Never climbs above the waveform it was constructed at.
+/// Stays inside reachable_rungs(cfg, initial).
 class RateFallbackController {
  public:
   RateFallbackController() = default;
   RateFallbackController(const FallbackConfig& cfg, LinkWaveform initial);
 
   LinkWaveform current() const { return current_; }
-  LinkWaveform initial() const { return initial_; }
-  bool degraded() const { return current_ != initial_; }
+  bool degraded() const { return current_ != range_.top; }
 
   void on_success();
   void on_failure();
@@ -134,10 +147,8 @@ class RateFallbackController {
   std::uint64_t upshifts() const { return upshifts_; }
 
  private:
-  bool can_step_down() const;
-
   FallbackConfig cfg_{};
-  LinkWaveform initial_ = LinkWaveform::kWifi2Mbps;
+  RungRange range_{};
   LinkWaveform current_ = LinkWaveform::kWifi2Mbps;
   std::size_t fail_streak_ = 0;
   std::size_t success_streak_ = 0;

@@ -92,6 +92,30 @@ Real waveform_per_at(mac::LinkWaveform w, Real snr_db,
   return itb::channel::per_802154(snr_db, wire_bytes);
 }
 
+/// waveform_per_at(w, snr_db, wire_bytes) for every rung w in `rungs`,
+/// with `at` (built at snr_db) supplying the header term once; rungs
+/// outside the range hold 1.0. Returns the top rung's payload BER, which
+/// the caller reuses for the reply PER at the message size.
+Real rung_pers(const mac::RungRange& rungs,
+               const itb::channel::DsssPerAtSnr& at, Real snr_db,
+               std::size_t wire_bytes,
+               std::array<Real, mac::kNumLinkWaveforms>& per) {
+  per.fill(Real{1.0});
+  Real top_ber = Real{0.5};
+  for (auto w = static_cast<std::size_t>(rungs.top);
+       w <= static_cast<std::size_t>(rungs.floor); ++w) {
+    const auto wf = static_cast<mac::LinkWaveform>(w);
+    if (!mac::is_wifi(wf)) {
+      per[w] = itb::channel::per_802154(snr_db, wire_bytes);
+      continue;
+    }
+    const Real ber = at.payload_ber(mac::waveform_rate(wf));
+    if (wf == rungs.top) top_ber = ber;
+    per[w] = at.per(ber, wire_bytes);
+  }
+  return top_ber;
+}
+
 }  // namespace
 
 NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
@@ -153,15 +177,28 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   // is a pure function of (cfg, placement) writing disjoint links_[t]
   // slots, so it fans out over fixed-size blocks: thread count changes
   // wall time, never results.
+  // The fleet-wide budget terms (reference path loss, thermal noise,
+  // transmit-side gains) are evaluated once here; each tag then pays its
+  // helper leg once, shared by its primary and failover budgets.
   itb::channel::LogDistanceModel pl;
   pl.exponent = cfg_.pathloss_exponent;
+  itb::channel::BackscatterLinkConfig budget_cfg;
+  budget_cfg.ble_tx_power_dbm = cfg_.ble_tx_power_dbm;
+  budget_cfg.tag_medium_loss_db = cfg_.tag_medium_loss_db;
+  budget_cfg.rx_noise_figure_db = cfg_.rx_noise_figure_db;
+  budget_cfg.pathloss.exponent = cfg_.pathloss_exponent;
+  const itb::channel::BackscatterBudget budget(budget_cfg);
   const SpatialHashGrid helper_grid(placement_.helpers);
   const SpatialHashGrid ap_grid(placement_.aps);
-  const auto downlink_miss = [&](Real ap_distance_m) {
-    const Real rssi = itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0,
-                                                    2.0, pl, ap_distance_m) -
-                      cfg_.tag_medium_loss_db;
-    return rssi < cfg_.detector_sensitivity_dbm
+  // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
+  // after the tissue loss; below sensitivity the tag never hears it.
+  const auto downlink_rssi = [&](Real ap_distance_m) {
+    return itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0, 2.0, pl,
+                                         ap_distance_m) -
+           cfg_.tag_medium_loss_db;
+  };
+  const auto downlink_miss = [&](Real rssi_dbm) {
+    return rssi_dbm < cfg_.detector_sensitivity_dbm
                ? Real{1.0}
                : cfg_.polling.downlink_error_rate;
   };
@@ -182,25 +219,15 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
     link.helper_distance_m = std::max(link.helper_distance_m, Real{0.05});
     link.ap_distance_m = std::max(link.ap_distance_m, Real{0.05});
 
-    itb::channel::BackscatterLinkConfig budget;
-    budget.ble_tx_power_dbm = cfg_.ble_tx_power_dbm;
-    budget.ble_tag_distance_m = link.helper_distance_m;
-    budget.tag_medium_loss_db = cfg_.tag_medium_loss_db;
-    budget.rx_noise_figure_db = cfg_.rx_noise_figure_db;
-    budget.pathloss.exponent = cfg_.pathloss_exponent;
-    const itb::channel::LinkSample s =
-        itb::channel::backscatter_rssi(budget, link.ap_distance_m);
+    const itb::channel::BackscatterBudget::HelperLeg leg =
+        budget.helper_leg(link.helper_distance_m);
+    const itb::channel::LinkSample s = budget.sample(leg, link.ap_distance_m);
     link.reply_rssi_dbm = s.rssi_dbm;
     link.link_down = s.link_down;
     link.snr_db = s.snr_db;
 
-    // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
-    // after the tissue loss; below sensitivity the tag never hears it.
-    link.downlink_rssi_dbm =
-        itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0, 2.0, pl,
-                                      link.ap_distance_m) -
-        cfg_.tag_medium_loss_db;
-    link.downlink_miss_prob = downlink_miss(link.ap_distance_m);
+    link.downlink_rssi_dbm = downlink_rssi(link.ap_distance_m);
+    link.downlink_miss_prob = downlink_miss(link.downlink_rssi_dbm);
 
     // Failover target: next-nearest AP, with its own precomputed budget.
     // Reassigning to a different Wi-Fi channel would rewrite the TDMA
@@ -230,13 +257,13 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
         }
       }
       if (link.has_failover) {
-        const itb::channel::LinkSample fs =
-            itb::channel::backscatter_rssi(budget, best);
+        const itb::channel::LinkSample fs = budget.sample(leg, best);
         if (fs.link_down) {
           link.has_failover = false;
         } else {
           link.failover_snr_db = fs.snr_db;
-          link.failover_downlink_miss_prob = downlink_miss(best);
+          link.failover_downlink_miss_prob =
+              downlink_miss(downlink_rssi(best));
         }
       }
     }
@@ -319,23 +346,29 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
 
   // --- leakage-degraded reply PER per tag ----------------------------------
   // Same fan-out discipline as the budget loop: disjoint links_[t] writes,
-  // pure closed forms, fixed blocks.
+  // pure closed forms, fixed blocks. Only what run() can read is
+  // evaluated: the rungs a tag's fallback controller can reach (the rest
+  // keep the 1.0 fill), each SNR's header term once, and reply_per from
+  // the initial rung's payload BER.
+  const mac::RungRange rungs =
+      mac::reachable_rungs(cfg_.fallback, mac::waveform_for_rate(cfg_.rate));
   itb::core::parallel_for(num_blocks, cfg_.num_threads, [&](std::size_t bi) {
     const std::size_t hi = std::min(n, (bi + 1) * kBuildBlock);
     for (std::size_t t = bi * kBuildBlock; t < hi; ++t) {
       const std::size_t g = t % num_groups;
       TagLink& link = links_[t];
       const Real snr = link.snr_db - channels_[g].leakage_noise_rise_db;
-      link.reply_per =
-          itb::channel::per_80211b(cfg_.rate, snr, cfg_.payload_bytes);
-      const Real fo_snr =
-          link.failover_snr_db - channels_[g].leakage_noise_rise_db;
-      for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
-        const auto wf = static_cast<mac::LinkWaveform>(w);
-        link.waveform_per[w] = waveform_per_at(wf, snr, wire_bytes_);
-        link.failover_waveform_per[w] =
-            link.has_failover ? waveform_per_at(wf, fo_snr, wire_bytes_)
-                              : Real{1.0};
+      const itb::channel::DsssPerAtSnr at(snr);
+      const Real top_ber =
+          rung_pers(rungs, at, snr, wire_bytes_, link.waveform_per);
+      link.reply_per = at.per(top_ber, cfg_.payload_bytes);
+      if (link.has_failover) {
+        const Real fo_snr =
+            link.failover_snr_db - channels_[g].leakage_noise_rise_db;
+        rung_pers(rungs, itb::channel::DsssPerAtSnr(fo_snr), fo_snr,
+                  wire_bytes_, link.failover_waveform_per);
+      } else {
+        link.failover_waveform_per.fill(Real{1.0});
       }
     }
   });

@@ -152,13 +152,18 @@ struct TagLink {
   /// PER per fallback rung at the leakage-degraded SNR and the effective
   /// wire size (ARQ fragment framing included when enabled). Indexed by
   /// mac::LinkWaveform; [waveform_for_rate(cfg.rate)] is the rung polls
-  /// start at.
+  /// start at. Only the rungs in mac::reachable_rungs(cfg.fallback,
+  /// waveform_for_rate(cfg.rate)) are evaluated, since no poll can reach
+  /// the others; those hold 1.0, as failover_waveform_per does for a tag
+  /// without failover.
   std::array<Real, mac::kNumLinkWaveforms> waveform_per{};
   // --- AP failover (next-nearest AP, used when the primary is down) ----
   bool has_failover = false;
   std::uint32_t failover_ap = 0;
   Real failover_snr_db = itb::channel::kLinkDownDb;
   Real failover_downlink_miss_prob = 1.0;
+  /// waveform_per at failover_snr_db, same rung range; all 1.0 without
+  /// failover.
   std::array<Real, mac::kNumLinkWaveforms> failover_waveform_per{};
 };
 

@@ -3,6 +3,9 @@
 // fallback ladder.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "dsp/rng.h"
 #include "mac/arq.h"
 
 namespace itb::mac {
@@ -97,6 +100,56 @@ TEST(Fallback, ZigbeeRungIsGated) {
   EXPECT_EQ(dual.current(), LinkWaveform::kZigbee);
   dual.on_failure();
   EXPECT_EQ(dual.current(), LinkWaveform::kZigbee);  // absolute floor
+}
+
+TEST(Fallback, ControllerStaysInsideReachableRungs) {
+  // The network link build evaluates PERs only inside reachable_rungs(),
+  // so the controller must never leave that range, and a run of failures
+  // must reach its floor (the range is tight). Every initial rung x {rate
+  // fallback off, on} x {ZigBee off, on}, driven by long fixed-seed
+  // outcome sequences at three success rates.
+  dsp::Xoshiro256 rng(0xFA11BAC4);
+  for (std::size_t i = 0; i < kNumLinkWaveforms; ++i) {
+    const auto initial = static_cast<LinkWaveform>(i);
+    for (const bool rate : {false, true}) {
+      for (const bool zigbee : {false, true}) {
+        FallbackConfig cfg;
+        cfg.enable_rate_fallback = rate;
+        cfg.enable_zigbee_fallback = zigbee;
+        cfg.down_after_failures = 2;
+        cfg.up_after_successes = 3;
+        const RungRange range = reachable_rungs(cfg, initial);
+        LinkWaveform floor = initial;
+        if (rate && initial != LinkWaveform::kZigbee) {
+          floor = zigbee ? LinkWaveform::kZigbee : LinkWaveform::kWifi1Mbps;
+        }
+        const std::string where = std::string(waveform_name(initial)) +
+                                  (rate ? " rate" : "") +
+                                  (zigbee ? " zigbee" : "");
+        EXPECT_EQ(range.top, initial) << where;
+        EXPECT_EQ(range.floor, floor) << where;
+
+        for (const double p_success : {0.2, 0.5, 0.8}) {
+          RateFallbackController c(cfg, initial);
+          for (int k = 0; k < 20000; ++k) {
+            if (rng.uniform() < p_success) {
+              c.on_success();
+            } else {
+              c.on_failure();
+            }
+            ASSERT_TRUE(range.top <= c.current() && c.current() <= range.floor)
+                << where << " p=" << p_success << " step " << k << ": "
+                << waveform_name(c.current());
+          }
+          for (std::size_t k = 0;
+               k < kNumLinkWaveforms * cfg.down_after_failures; ++k) {
+            c.on_failure();
+          }
+          EXPECT_EQ(c.current(), range.floor) << where << " p=" << p_success;
+        }
+      }
+    }
+  }
 }
 
 TEST(Fallback, DisabledControllerNeverMoves) {

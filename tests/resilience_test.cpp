@@ -409,6 +409,74 @@ TEST(Resilience, BackoffIdlesSlotsDeterministically) {
             a.messages_offered + a.retransmissions);
 }
 
+TEST(Resilience, LinkBuildPerTablesMatchOneCallClosedForms) {
+  // The link build shares each SNR's header term across rungs and reuses
+  // the initial rung's payload BER for reply_per. Every value it stores
+  // must still equal (==, not near) the one-call closed form at the same
+  // leakage-degraded SNR and frame size, and the rungs no poll can reach
+  // must hold the 1.0 fill. A small faulted ward with ARQ, fallback and
+  // failover, at both ends of the ladder, and once with neither fallback
+  // nor failover.
+  struct Case {
+    itb::wifi::DsssRate rate;
+    bool rate_fallback;
+    bool zigbee;
+    bool failover;
+  };
+  const Case cases[] = {{itb::wifi::DsssRate::k2Mbps, true, true, true},
+                        {itb::wifi::DsssRate::k11Mbps, true, false, true},
+                        {itb::wifi::DsssRate::k5_5Mbps, false, false, false}};
+  for (const Case& c : cases) {
+    NetworkConfig cfg;
+    cfg.topology.kind = TopologyKind::kHospitalWard;
+    cfg.topology.num_tags = 300;
+    cfg.topology.num_helpers = 0;
+    cfg.topology.num_aps = 4;
+    cfg.detector_sensitivity_dbm = -49.0;
+    cfg.rate = c.rate;
+    cfg.enable_arq = true;
+    cfg.arq.fragment_bytes = 12;
+    cfg.fallback.enable_rate_fallback = c.rate_fallback;
+    cfg.fallback.enable_zigbee_fallback = c.zigbee;
+    cfg.ap_failover = c.failover;
+    cfg.faults.ap_outage(0, 1e5, 1e6).snr_slump(2e5, 1e6, 6.0);
+    const NetworkCoordinator net(cfg);
+    ASSERT_NE(net.wire_bytes(), cfg.payload_bytes);
+    const mac::RungRange rungs = mac::reachable_rungs(
+        net.config().fallback, mac::waveform_for_rate(cfg.rate));
+
+    const auto closed_form = [&](std::size_t w, Real snr) {
+      const auto wf = static_cast<mac::LinkWaveform>(w);
+      return mac::is_wifi(wf)
+                 ? channel::per_80211b(mac::waveform_rate(wf), snr,
+                                       net.wire_bytes())
+                 : channel::per_802154(snr, net.wire_bytes());
+    };
+    std::size_t with_failover = 0;
+    for (std::size_t t = 0; t < net.links().size(); ++t) {
+      const TagLink& link = net.links()[t];
+      const Real rise =
+          net.channel_plan()[t % cfg.wifi_channels.size()].leakage_noise_rise_db;
+      const Real snr = link.snr_db - rise;
+      const Real fo_snr = link.failover_snr_db - rise;
+      EXPECT_EQ(link.reply_per,
+                channel::per_80211b(cfg.rate, snr, cfg.payload_bytes))
+          << "tag " << t;
+      with_failover += link.has_failover ? 1 : 0;
+      for (std::size_t w = 0; w < mac::kNumLinkWaveforms; ++w) {
+        const auto wf = static_cast<mac::LinkWaveform>(w);
+        const bool in_range = rungs.top <= wf && wf <= rungs.floor;
+        EXPECT_EQ(link.waveform_per[w], in_range ? closed_form(w, snr) : 1.0)
+            << "tag " << t << " rung " << w;
+        EXPECT_EQ(link.failover_waveform_per[w],
+                  in_range && link.has_failover ? closed_form(w, fo_snr) : 1.0)
+            << "tag " << t << " rung " << w;
+      }
+    }
+    EXPECT_EQ(with_failover > 0, c.failover);
+  }
+}
+
 TEST(Resilience, NetResilienceDigestsPinned) {
   // bench/net_resilience.cpp's digests at fault intensity 1 (5000-tag
   // grid, its fleet and fault profile, per-tag records included), with and
@@ -421,6 +489,21 @@ TEST(Resilience, NetResilienceDigestsPinned) {
   EXPECT_EQ(NetworkCoordinator(test::net_resilience_config(true)).run().digest(),
             0x6db00b808141881dULL)
       << "x=1 arq";
+}
+
+TEST(Resilience, ElevenMbpsWifiOnlyFallbackDigestPinned) {
+  // net_resilience's ARQ fleet at fault intensity 1, but polls start at
+  // 11 Mbps and the fallback ladder stops at 1 Mbps (no ZigBee rung). The
+  // other pins start at 2 Mbps, so this is the one fleet whose polls read
+  // the 11 and 5.5 Mbps rungs and never the ZigBee one: it pins the
+  // reachable-rung link build at its other end.
+  NetworkConfig cfg = test::net_resilience_config(true);
+  cfg.rate = itb::wifi::DsssRate::k11Mbps;
+  cfg.fallback.enable_zigbee_fallback = false;
+  const NetworkStats s = NetworkCoordinator(cfg).run();
+  EXPECT_GT(s.fallback_polls, 0u);
+  EXPECT_GT(s.failover_polls, 0u);
+  EXPECT_EQ(s.digest(), 0xd8ad45700d13979bULL);
 }
 
 }  // namespace
