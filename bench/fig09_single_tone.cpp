@@ -21,12 +21,12 @@ int main() {
                 "single tone at +250 kHz on every device");
 
   ble::GfskModulator mod;
-  const double fs = mod.config().sample_rate_hz;
+  const double fs = ble::kGfskSampleRateHz;
   dsp::Xoshiro256 rng(2016);
 
   const auto payload_window = [&](const ble::AdvPacket& pkt) {
     const auto all = mod.modulate(pkt.air_bits);
-    const std::size_t sps = mod.samples_per_symbol();
+    const std::size_t sps = ble::kGfskSamplesPerSymbol;
     return dsp::CVec(all.begin() + pkt.payload_start_bit * sps,
                      all.begin() + pkt.payload_end_bit * sps);
   };

@@ -21,11 +21,10 @@ int main() {
                 "rates; DSB collapses as the rate grows (roughly halved at "
                 "1000 pkt/s)");
 
-  mac::DcfConfig cfg;
   const double duration_s = 4.0;
 
   const mac::DcfResult baseline =
-      mac::simulate_dcf(cfg, mac::InterfererConfig{}, duration_s, 99);
+      mac::simulate_dcf(mac::InterfererConfig{}, duration_s, 99);
 
   std::printf("backscatter_pkts_per_s,baseline_mbps,ssb_mbps,dsb_mbps,dsb_collision_rate\n");
   for (const double rate : {50.0, 650.0, 1000.0}) {
@@ -37,8 +36,8 @@ int main() {
     dsb.packets_per_second = rate;
     dsb.on_victim_channel = true;
 
-    const auto s = mac::simulate_dcf(cfg, ssb, duration_s, 7);
-    const auto d = mac::simulate_dcf(cfg, dsb, duration_s, 7);
+    const auto s = mac::simulate_dcf(ssb, duration_s, 7);
+    const auto d = mac::simulate_dcf(dsb, duration_s, 7);
     std::printf("%.0f,%.1f,%.1f,%.1f,%.2f\n", rate, baseline.throughput_mbps,
                 s.throughput_mbps, d.throughput_mbps, d.collision_rate);
   }

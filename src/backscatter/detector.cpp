@@ -7,6 +7,20 @@
 
 namespace itb::backscatter {
 
+namespace {
+
+/// Peak detector charge time constant (fast attack).
+constexpr Real kTauAttackS = 0.05e-6;
+/// Bleed fast enough that a constant OFDM symbol's leading energy spike
+/// (the false-peak hazard the paper designs around, §2.4) decays within
+/// the symbol.
+constexpr Real kTauDecayS = 0.5e-6;
+/// A pair's second symbol reads as "constant" (bit 1) when its envelope
+/// falls below this fraction of the pair's first (always-random) symbol.
+constexpr Real kPairRatioThreshold = 0.85;
+
+}  // namespace
+
 EnvelopeDetector::EnvelopeDetector(const EnvelopeDetectorConfig& cfg)
     : cfg_(cfg) {}
 
@@ -54,9 +68,9 @@ PeakDetector::PeakDetector(const PeakDetectorConfig& cfg) : cfg_(cfg) {}
 itb::dsp::RVec PeakDetector::envelope(const CVec& samples) const {
   itb::dsp::RVec env(samples.size());
   const Real a_up =
-      1.0 - std::exp(-1.0 / (cfg_.tau_attack_s * cfg_.sample_rate_hz));
+      1.0 - std::exp(-1.0 / (kTauAttackS * cfg_.sample_rate_hz));
   const Real a_dn =
-      1.0 - std::exp(-1.0 / (cfg_.tau_decay_s * cfg_.sample_rate_hz));
+      1.0 - std::exp(-1.0 / (kTauDecayS * cfg_.sample_rate_hz));
   const Real floor_amp =
       std::sqrt(itb::dsp::dbm_to_watts(cfg_.sensitivity_dbm));
   Real state = 0.0;
@@ -98,7 +112,7 @@ Bits PeakDetector::decode_am(const CVec& samples, std::size_t data_start,
     // Pairs start at symbol 1: (1,2), (3,4), ...
     const Real first = symbol_level(1 + 2 * b);
     const Real second = symbol_level(2 + 2 * b);
-    out.push_back(second < cfg_.pair_ratio_threshold * first ? 1 : 0);
+    out.push_back(second < kPairRatioThreshold * first ? 1 : 0);
   }
   return out;
 }

@@ -47,23 +47,15 @@ class EnvelopeDetector {
   /// samples.size() when never triggered).
   std::size_t first_trigger(const CVec& samples) const;
 
-  const EnvelopeDetectorConfig& config() const { return cfg_; }
-
  private:
   EnvelopeDetectorConfig cfg_;
 };
 
+/// The diode-RC time constants and the AM pair-decision ratio are fixed in
+/// detector.cpp.
 struct PeakDetectorConfig {
   Real sample_rate_hz = 20e6;
-  Real tau_attack_s = 0.05e-6;  ///< fast charge
-  /// Bleed fast enough that a constant OFDM symbol's leading energy spike
-  /// (the false-peak hazard the paper designs around, §2.4) decays within
-  /// the symbol.
-  Real tau_decay_s = 0.5e-6;
   Real sensitivity_dbm = -32.0; ///< paper: off-the-shelf receiver @160 kbps
-  /// A pair's second symbol reads as "constant" (bit 1) when its envelope
-  /// falls below this fraction of the pair's first (always-random) symbol.
-  Real pair_ratio_threshold = 0.85;
 };
 
 class PeakDetector {
@@ -84,8 +76,6 @@ class PeakDetector {
   /// Simple on-off-keying decode used by the card-to-card link: one bit per
   /// `bit_samples`, threshold at the midpoint of min/max envelope.
   Bits decode_ook(const CVec& samples, std::size_t bit_samples) const;
-
-  const PeakDetectorConfig& config() const { return cfg_; }
 
  private:
   PeakDetectorConfig cfg_;

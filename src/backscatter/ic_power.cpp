@@ -2,17 +2,28 @@
 
 namespace itb::backscatter {
 
-IcPowerModel::IcPowerModel(const IcPowerConfig& cfg) : cfg_(cfg) {}
+namespace {
+
+/// Paper-calibrated block powers at the reference point (35.75 MHz shift,
+/// 2 Mbps baseband, 143 MHz PLL): 9.69 + 8.51 + 9.79 = 28 uW.
+constexpr Real kSynthesizerUwRef = 9.69;
+constexpr Real kBasebandUwRef = 8.51;
+constexpr Real kModulatorUwRef = 9.79;
+constexpr Real kRefShiftHz = 35.75e6;
+/// Leakage fraction of each block that does not scale with frequency.
+constexpr Real kStaticFraction = 0.15;
+
+}  // namespace
 
 PowerBreakdown IcPowerModel::active_power(itb::wifi::DsssRate rate,
                                           Real shift_hz) const {
-  const Real s = cfg_.static_fraction;
-  const Real shift_scale = std::abs(shift_hz) / cfg_.ref_shift_hz;
+  const Real s = kStaticFraction;
+  const Real shift_scale = std::abs(shift_hz) / kRefShiftHz;
 
   // The synthesizer's PLL runs at 4x the shift; its dynamic power scales
   // with that clock.
   const Real synth =
-      cfg_.synthesizer_uw_ref * (s + (1.0 - s) * shift_scale);
+      kSynthesizerUwRef * (s + (1.0 - s) * shift_scale);
 
   // Baseband switching activity scales with the encoded chip rate; all
   // 802.11b rates share the 11 Mchip/s clock but CCK toggles more logic.
@@ -31,12 +42,12 @@ PowerBreakdown IcPowerModel::active_power(itb::wifi::DsssRate rate,
       baseband_scale = 1.32;
       break;
   }
-  const Real baseband = cfg_.baseband_uw_ref * (s + (1.0 - s) * baseband_scale);
+  const Real baseband = kBasebandUwRef * (s + (1.0 - s) * baseband_scale);
 
   // The modulator burns power per switch transition: ~4 transitions per
   // shift period regardless of rate.
   const Real modulator =
-      cfg_.modulator_uw_ref * (s + (1.0 - s) * shift_scale);
+      kModulatorUwRef * (s + (1.0 - s) * shift_scale);
 
   return {synth, baseband, modulator};
 }
@@ -44,7 +55,7 @@ PowerBreakdown IcPowerModel::active_power(itb::wifi::DsssRate rate,
 Real IcPowerModel::average_power_uw(itb::wifi::DsssRate rate, Real shift_hz,
                                     Real airtime_fraction) const {
   const PowerBreakdown active = active_power(rate, shift_hz);
-  const Real sleep = active.total_uw() * cfg_.static_fraction * 0.1;
+  const Real sleep = active.total_uw() * kStaticFraction * 0.1;
   return airtime_fraction * active.total_uw() +
          (1.0 - airtime_fraction) * sleep;
 }

@@ -16,19 +16,6 @@ namespace itb::backscatter {
 
 using itb::dsp::Real;
 
-struct IcPowerConfig {
-  /// Paper-calibrated block powers at the reference point
-  /// (35.75 MHz shift, 2 Mbps baseband, 143 MHz PLL).
-  Real synthesizer_uw_ref = 9.69;
-  Real baseband_uw_ref = 8.51;
-  Real modulator_uw_ref = 9.79;
-  Real ref_shift_hz = 35.75e6;
-  Real ref_bitrate_mbps = 2.0;
-
-  /// Leakage fraction of each block that does not scale with frequency.
-  Real static_fraction = 0.15;
-};
-
 struct PowerBreakdown {
   Real synthesizer_uw;
   Real baseband_uw;
@@ -36,10 +23,11 @@ struct PowerBreakdown {
   Real total_uw() const { return synthesizer_uw + baseband_uw + modulator_uw; }
 };
 
+/// The block powers are calibrated at the paper's operating point
+/// (35.75 MHz shift, 2 Mbps baseband, 143 MHz PLL); ic_power.cpp holds
+/// them with the leakage share that does not scale with frequency.
 class IcPowerModel {
  public:
-  explicit IcPowerModel(const IcPowerConfig& cfg = {});
-
   /// Power while backscattering at the given Wi-Fi rate and shift.
   PowerBreakdown active_power(itb::wifi::DsssRate rate, Real shift_hz) const;
 
@@ -50,11 +38,6 @@ class IcPowerModel {
 
   /// Energy per transmitted payload bit (pJ/bit).
   Real energy_per_bit_pj(itb::wifi::DsssRate rate, Real shift_hz) const;
-
-  const IcPowerConfig& config() const { return cfg_; }
-
- private:
-  IcPowerConfig cfg_;
 };
 
 /// Reference power draws of conventional radios for the comparison table

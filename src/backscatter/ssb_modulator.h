@@ -50,8 +50,6 @@ class SsbModulator {
   /// incident tone amplitude: out[k] = Gamma(state[k]).
   CVec states_to_waveform(const StateSequence& states) const;
 
-  const SsbConfig& config() const { return cfg_; }
-
   /// Conversion loss (dB): power of the fundamental at +shift_hz relative to
   /// the incident tone power, measured from a pure carrier_states waveform.
   Real conversion_loss_db(std::size_t probe_samples = 16384) const;
@@ -78,8 +76,6 @@ class DsbModulator {
   StateSequence carrier_states(std::size_t n) const;
   CVec states_to_waveform(const StateSequence& states) const;
   CVec modulate(const std::vector<std::uint8_t>& bpsk_flip_per_sample) const;
-
-  const SsbConfig& config() const { return cfg_; }
 
  private:
   SsbConfig cfg_;

@@ -1,35 +1,44 @@
 #include "ble/gfsk.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "dsp/fir.h"
 
 namespace itb::ble {
 
-GfskModulator::GfskModulator(const GfskConfig& cfg) : cfg_(cfg) {
-  const Real ratio = cfg_.sample_rate_hz / cfg_.symbol_rate_hz;
-  sps_ = static_cast<std::size_t>(ratio);
-  assert(std::abs(ratio - static_cast<Real>(sps_)) < 1e-9 &&
-         "sample rate must be an integer multiple of symbol rate");
-  gaussian_taps_ =
-      itb::dsp::design_gaussian(cfg_.bt, sps_, cfg_.filter_span_symbols);
-}
+namespace {
+
+/// LE 1M symbol rate.
+constexpr Real kSymbolRateHz = 1e6;
+static_assert(kGfskSampleRateHz ==
+              kSymbolRateHz * static_cast<Real>(kGfskSamplesPerSymbol));
+/// h; deviation = h * symbol_rate / 2.
+constexpr Real kModulationIndex = 0.5;
+/// Gaussian bandwidth-time product and the filter's span in symbols.
+constexpr Real kBt = 0.5;
+constexpr std::size_t kFilterSpanSymbols = 3;
+constexpr std::size_t kSps = kGfskSamplesPerSymbol;
+
+}  // namespace
+
+GfskModulator::GfskModulator()
+    : gaussian_taps_(
+          itb::dsp::design_gaussian(kBt, kSps, kFilterSpanSymbols)) {}
 
 CVec GfskModulator::modulate(const Bits& bits) const {
   if (bits.empty()) return {};
   // NRZ mapping at sample rate: 1 -> +1, 0 -> -1.
-  itb::dsp::RVec nrz(bits.size() * sps_);
+  itb::dsp::RVec nrz(bits.size() * kSps);
   for (std::size_t i = 0; i < bits.size(); ++i) {
     const Real v = bits[i] ? 1.0 : -1.0;
-    for (std::size_t k = 0; k < sps_; ++k) nrz[i * sps_ + k] = v;
+    for (std::size_t k = 0; k < kSps; ++k) nrz[i * kSps + k] = v;
   }
   // Gaussian pulse shaping of the frequency waveform.
   const itb::dsp::RVec freq = itb::dsp::filter_same(nrz, gaussian_taps_);
 
   // Frequency deviation: h = 2 * fd / symbol_rate  =>  fd = h * Rs / 2.
-  const Real fd = cfg_.modulation_index * cfg_.symbol_rate_hz / 2.0;
-  const Real phase_step = itb::dsp::kTwoPi * fd / cfg_.sample_rate_hz;
+  const Real fd = kModulationIndex * kSymbolRateHz / 2.0;
+  const Real phase_step = itb::dsp::kTwoPi * fd / kGfskSampleRateHz;
 
   CVec out(freq.size());
   Real phase = 0.0;
@@ -40,15 +49,11 @@ CVec GfskModulator::modulate(const Bits& bits) const {
   return out;
 }
 
-GfskDemodulator::GfskDemodulator(const GfskConfig& cfg) : cfg_(cfg) {
-  sps_ = static_cast<std::size_t>(cfg_.sample_rate_hz / cfg_.symbol_rate_hz);
-}
-
 itb::dsp::RVec GfskDemodulator::instantaneous_frequency_hz(const CVec& samples) const {
   itb::dsp::RVec freq(samples.size(), 0.0);
   for (std::size_t i = 1; i < samples.size(); ++i) {
     const Complex d = samples[i] * std::conj(samples[i - 1]);
-    freq[i] = std::arg(d) * cfg_.sample_rate_hz / itb::dsp::kTwoPi;
+    freq[i] = std::arg(d) * kGfskSampleRateHz / itb::dsp::kTwoPi;
   }
   if (!freq.empty() && freq.size() > 1) freq[0] = freq[1];
   return freq;
@@ -60,10 +65,10 @@ Bits GfskDemodulator::demodulate(const CVec& samples,
   Bits bits;
   // Average frequency over the middle half of each symbol to reject ISI at
   // the Gaussian-filtered edges.
-  const std::size_t lo = sps_ / 4;
-  const std::size_t hi = sps_ - sps_ / 4;
-  for (std::size_t start = bit_offset_samples; start + sps_ <= freq.size();
-       start += sps_) {
+  const std::size_t lo = kSps / 4;
+  const std::size_t hi = kSps - kSps / 4;
+  for (std::size_t start = bit_offset_samples; start + kSps <= freq.size();
+       start += kSps) {
     Real acc = 0.0;
     for (std::size_t k = lo; k < hi; ++k) acc += freq[start + k];
     bits.push_back(acc > 0.0 ? 1 : 0);

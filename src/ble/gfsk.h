@@ -15,29 +15,21 @@ using itb::dsp::CVec;
 using itb::dsp::Real;
 using itb::phy::Bits;
 
-struct GfskConfig {
-  Real symbol_rate_hz = 1e6;   ///< LE 1M
-  Real sample_rate_hz = 8e6;   ///< must be an integer multiple of symbol rate
-  Real modulation_index = 0.5; ///< h; deviation = h * symbol_rate / 2
-  Real bt = 0.5;               ///< Gaussian bandwidth-time product
-  std::size_t filter_span_symbols = 3;
-};
+/// Baseband sample rate of the modulator and demodulator: 8 samples per
+/// LE 1M symbol.
+inline constexpr std::size_t kGfskSamplesPerSymbol = 8;
+inline constexpr Real kGfskSampleRateHz = 8e6;
 
 /// GFSK modulator producing unit-amplitude complex baseband centered on the
 /// nominal carrier (0 Hz). A '1' bit shifts frequency up, '0' down.
 class GfskModulator {
  public:
-  explicit GfskModulator(const GfskConfig& cfg = {});
+  GfskModulator();
 
   /// Modulates air bits into complex baseband samples.
   CVec modulate(const Bits& bits) const;
 
-  std::size_t samples_per_symbol() const { return sps_; }
-  const GfskConfig& config() const { return cfg_; }
-
  private:
-  GfskConfig cfg_;
-  std::size_t sps_;
   itb::dsp::RVec gaussian_taps_;
 };
 
@@ -46,8 +38,6 @@ class GfskModulator {
 /// that synthesized packets are decodable by a conventional BLE receiver.
 class GfskDemodulator {
  public:
-  explicit GfskDemodulator(const GfskConfig& cfg = {});
-
   /// Demodulates samples into bits. `bit_offset_samples` selects where the
   /// first symbol starts (0 if the stream begins exactly at a bit edge).
   Bits demodulate(const CVec& samples, std::size_t bit_offset_samples = 0) const;
@@ -55,10 +45,6 @@ class GfskDemodulator {
   /// Instantaneous frequency estimate (Hz) per sample — useful for tests
   /// verifying the single-tone property.
   itb::dsp::RVec instantaneous_frequency_hz(const CVec& samples) const;
-
- private:
-  GfskConfig cfg_;
-  std::size_t sps_;
 };
 
 }  // namespace itb::ble

@@ -14,6 +14,10 @@ namespace itb::channel {
 
 namespace {
 
+/// ADC full scale sits this many dB above the signal RMS (clipping
+/// headroom). Smaller backoff clips peaks; larger wastes resolution.
+constexpr Real kAdcHeadroomDb = 12.0;
+
 // Stage indices for substream derivation. Values are part of the
 // determinism contract (DESIGN.md): changing them changes every seeded run.
 enum Stage : std::uint64_t {
@@ -165,7 +169,7 @@ void ImpairmentChain::apply_frontend_inplace(std::span<Complex> y) const {
   if (cfg_.adc_bits == 0 || y.empty()) return;
   const Real rms = itb::dsp::rms(y);
   if (rms <= 0.0) return;
-  const Real full_scale = rms * itb::dsp::db_to_amplitude(cfg_.adc_headroom_db);
+  const Real full_scale = rms * itb::dsp::db_to_amplitude(kAdcHeadroomDb);
   const Real levels = std::pow(2.0, static_cast<Real>(cfg_.adc_bits - 1));
   const Real step = full_scale / levels;
   // Mid-rise quantizer, vectorized per double: clamp to

@@ -57,11 +57,9 @@ struct ImpairmentConfig {
   /// Oscillator phase noise modeled as a Wiener process with this Lorentzian
   /// linewidth (Hz). 0 disables.
   Real phase_noise_linewidth_hz = 0.0;
-  /// ADC resolution in bits per I/Q rail; 0 = ideal converter.
+  /// ADC resolution in bits per I/Q rail; 0 = ideal converter. Its full
+  /// scale sits a fixed 12 dB above the signal RMS (impairments.cpp).
   unsigned adc_bits = 0;
-  /// ADC full scale is set this many dB above the signal RMS (clipping
-  /// headroom). Smaller backoff clips peaks; larger wastes resolution.
-  Real adc_headroom_db = 12.0;
   std::optional<MultipathConfig> multipath;
 };
 
@@ -99,8 +97,6 @@ class ImpairmentChain {
   Real cfo_hz() const {
     return FrequencyOffset::from_ppm(cfg_.cfo_ppm, cfg_.carrier_hz).hz();
   }
-
-  const ImpairmentConfig& config() const { return cfg_; }
 
  private:
   ImpairmentConfig cfg_;

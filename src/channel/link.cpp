@@ -8,6 +8,17 @@
 
 namespace itb::channel {
 
+namespace {
+
+/// Effective gain of the BLE helper's antenna: a 2 dBi monopole
+/// (monopole_2dbi()) at full radiation efficiency.
+constexpr Real kBleAntennaGainDbi = 2.0;
+/// Conversion loss of the tag's single-sideband modulator: the value
+/// measured from the simulated waveform (see backscatter tests).
+constexpr Real kBackscatterConversionLossDb = 6.2;
+
+}  // namespace
+
 LinkSample backscatter_rssi(const BackscatterLinkConfig& cfg,
                             Real tag_rx_distance_m) {
   const BackscatterBudget budget(cfg);
@@ -18,11 +29,9 @@ LinkSample backscatter_rssi(const BackscatterLinkConfig& cfg,
 BackscatterBudget::BackscatterBudget(const BackscatterLinkConfig& cfg)
     : pathloss_(cfg.pathloss),
       ref_loss_db_(cfg.pathloss.reference_loss_db()),
-      illumination_dbm_(cfg.ble_tx_power_dbm +
-                        cfg.ble_antenna.effective_gain_dbi() +
+      illumination_dbm_(cfg.ble_tx_power_dbm + kBleAntennaGainDbi +
                         cfg.tag_antenna.effective_gain_dbi()),
       medium_loss_db_(cfg.tag_medium_loss_db),
-      conversion_loss_db_(cfg.backscatter_conversion_loss_db),
       tag_gain_dbi_(cfg.tag_antenna.effective_gain_dbi()),
       rx_gain_dbi_(cfg.rx_antenna.effective_gain_dbi()),
       noise_dbm_(
@@ -44,8 +53,8 @@ LinkSample BackscatterBudget::sample(const HelperLeg& leg,
   }
   const Real incident = leg.incident_dbm;
   const Real pl2 = pathloss_.pathloss_db(tag_rx_distance_m, ref_loss_db_);
-  const Real rssi = incident - conversion_loss_db_ - medium_loss_db_ +
-                    tag_gain_dbi_ - pl2 + rx_gain_dbi_;
+  const Real rssi = incident - kBackscatterConversionLossDb -
+                    medium_loss_db_ + tag_gain_dbi_ - pl2 + rx_gain_dbi_;
 
   LinkSample out{rssi, rssi - noise_dbm_, incident, false};
   // NaN losses / gains / noise figures (a detuned model, not just a far

@@ -18,16 +18,14 @@ namespace itb::channel {
 
 using itb::dsp::Real;
 
+/// The BLE helper's 2 dBi monopole and the tag's SSB conversion loss are
+/// fixed in link.cpp; the tag and receiver antennas vary per prototype.
 struct BackscatterLinkConfig {
   Real ble_tx_power_dbm = 0.0;
-  Antenna ble_antenna = monopole_2dbi();
   Antenna tag_antenna = monopole_2dbi();
   Antenna rx_antenna = monopole_2dbi();
   LogDistanceModel pathloss{};
   Real ble_tag_distance_m = 0.3048;  ///< 1 ft default
-  /// Conversion loss of the tag's single-sideband modulator; the default is
-  /// the value measured from the simulated waveform (see backscatter tests).
-  Real backscatter_conversion_loss_db = 6.2;
   /// Additional one-way loss between tag antenna and free space on the
   /// *backscatter* side (tissue, immersion); applied twice (in + out).
   Real tag_medium_loss_db = 0.0;
@@ -78,7 +76,6 @@ class BackscatterBudget {
   Real ref_loss_db_;
   Real illumination_dbm_;  ///< BLE power + helper and tag antenna gains
   Real medium_loss_db_;
-  Real conversion_loss_db_;
   Real tag_gain_dbi_;
   Real rx_gain_dbi_;
   Real noise_dbm_;

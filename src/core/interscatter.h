@@ -90,8 +90,6 @@ class InterscatterSystem {
   /// rate (11 Msps) and the Wi-Fi channel carrier. nullopt when ideal.
   std::optional<itb::channel::ImpairmentConfig> resolved_impairments() const;
 
-  const UplinkScenario& scenario() const { return scenario_; }
-
  private:
   UplinkScenario scenario_;
 };

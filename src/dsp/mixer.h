@@ -38,8 +38,6 @@ class Nco {
     if (phase_ > 1e6 || phase_ < -1e6) phase_ = std::fmod(phase_, kTwoPi);
   }
 
-  Real phase() const { return phase_; }
-
  private:
   Real phase_;
   Real phase_step_;

@@ -15,7 +15,7 @@ Psd welch_psd(std::span<const Complex> x, Real sample_rate_hz,
   const std::size_t seg = cfg.segment_size;
   const std::size_t hop = seg - cfg.overlap;
 
-  const RVec w = make_window(cfg.window, seg);
+  const RVec w = make_window(WindowKind::kHann, seg);
   const Real wpow = window_power(w);
 
   // One cache lookup for the whole run; every segment reuses the tables.

@@ -25,10 +25,9 @@ struct Psd {
 struct WelchConfig {
   std::size_t segment_size = 1024;  ///< Must be a power of two.
   std::size_t overlap = 512;        ///< Samples of overlap between segments.
-  WindowKind window = WindowKind::kHann;
 };
 
-/// Welch-averaged PSD of x sampled at sample_rate_hz.
+/// Welch-averaged PSD of x sampled at sample_rate_hz, Hann-windowed.
 Psd welch_psd(std::span<const Complex> x, Real sample_rate_hz,
               const WelchConfig& cfg = {});
 

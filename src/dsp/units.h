@@ -46,11 +46,4 @@ inline Real peak_magnitude(std::span<const Complex> x) {
   return peak;
 }
 
-/// Peak-to-average-power ratio in dB. Requires non-zero mean power.
-inline Real papr_db(std::span<const Complex> x) {
-  const Real avg = mean_power(x);
-  const Real pk = peak_magnitude(x);
-  return ratio_to_db(pk * pk / avg);
-}
-
 }  // namespace itb::dsp

@@ -4,14 +4,6 @@
 
 namespace itb::mac {
 
-// --- fragmentation -----------------------------------------------------------
-
-std::size_t fragment_count(std::size_t message_bytes,
-                           std::size_t fragment_payload_bytes) {
-  if (fragment_payload_bytes == 0 || message_bytes == 0) return 1;
-  return (message_bytes + fragment_payload_bytes - 1) / fragment_payload_bytes;
-}
-
 // --- retry policy ------------------------------------------------------------
 
 ArqConfig ArqConfig::validated() const {
@@ -19,12 +11,6 @@ ArqConfig ArqConfig::validated() const {
   out.max_attempts = std::max<std::size_t>(out.max_attempts, 1);
   out.backoff_cap_slots =
       std::max(out.backoff_cap_slots, out.backoff_base_slots);
-  // The fragment header stores the index in one byte; a pathological
-  // fragment size that would overflow it degrades to "no fragmentation".
-  if (out.fragment_bytes > 0 &&
-      fragment_count(4096, out.fragment_bytes) > kMaxFragmentsPerMessage) {
-    out.fragment_bytes = 0;
-  }
   return out;
 }
 

@@ -1,7 +1,6 @@
-// Link-layer ARQ for interscatter uplinks: fragment accounting,
-// selective-repeat retransmission with capped exponential backoff and
-// per-message retry budgets, and a rate-fallback ladder for graceful
-// degradation.
+// Link-layer ARQ for interscatter uplinks: message framing, retransmission
+// with capped exponential backoff and per-message retry budgets, and a
+// rate-fallback ladder for graceful degradation.
 //
 // Why it exists: a failed channel::link draw used to be a lost reply —
 // nothing retried, backed off, or degraded. Implanted fleets live with
@@ -10,9 +9,9 @@
 // hoped for per poll.
 //
 // The network simulator drives every piece here per TDMA slot:
-//   - fragment_count() + kFragmentOverheadBytes: how many fragments a
-//     message needs and what each costs on air (the simulator draws
-//     fragment outcomes from the closed-form PER; no bytes are framed);
+//   - kFragmentOverheadBytes: what the ARQ framing of a message costs on
+//     air (the simulator draws attempt outcomes from the closed-form PER
+//     at the framed size; no bytes are framed);
 //   - ArqConfig + backoff_slots(): the retry policy, closed over small
 //     integers;
 //   - RateFallbackController: consecutive-failure downshift through the
@@ -34,30 +33,20 @@
 
 namespace itb::mac {
 
-// --- fragmentation -----------------------------------------------------------
+// --- framing -----------------------------------------------------------------
 
-/// On-air cost of one fragment beyond its payload: the 3-byte header a tag
-/// would send (message seq, fragment index, fragment count) plus its CRC-16.
+/// On-air cost of ARQ framing beyond the payload: every message travels as
+/// one fragment carrying the 3-byte header a tag would send (message seq,
+/// fragment index, fragment count) plus its CRC-16.
 constexpr std::size_t kFragmentOverheadBytes = 3 + 2;
-/// The fragment index and count are one byte each.
-constexpr std::size_t kMaxFragmentsPerMessage = 255;
-
-/// Number of fragments a message of `message_bytes` splits into at
-/// `fragment_payload_bytes` per fragment (0 = no fragmentation: one
-/// fragment carries the whole message). Always >= 1 so an empty message
-/// still occupies one delivery slot.
-std::size_t fragment_count(std::size_t message_bytes,
-                           std::size_t fragment_payload_bytes);
 
 // --- retry policy ------------------------------------------------------------
 
 struct ArqConfig {
-  /// Fragment payload bytes; 0 = whole message in one fragment.
-  std::size_t fragment_bytes = 0;
-  /// Transmission attempts allowed per fragment, including the first.
+  /// Transmission attempts allowed per message, including the first.
   std::size_t max_attempts = 8;
-  /// Total retransmissions allowed per message across all its fragments
-  /// (the per-tag retry budget: energy, not just time, is finite).
+  /// Total retransmissions allowed per message (the per-tag retry budget:
+  /// energy, not just time, is finite).
   std::size_t retry_budget = 16;
   /// After the k-th consecutive failure the sender idles
   /// min(backoff_cap_slots, backoff_base_slots * 2^(k-1)) of its own TDMA
@@ -66,8 +55,7 @@ struct ArqConfig {
   std::size_t backoff_cap_slots = 8;
 
   /// Copy with degenerate values clamped (mirrors
-  /// ReservationConfig::validated()): max_attempts >= 1, cap >= base,
-  /// fragment count bounded by the one-byte fragment index.
+  /// ReservationConfig::validated()): max_attempts >= 1, cap >= base.
   ArqConfig validated() const;
 };
 

@@ -18,36 +18,12 @@ namespace itb::mac {
 
 using itb::dsp::Real;
 
-struct DcfConfig {
-  Real slot_us = 9.0;
-  Real sifs_us = 10.0;
-  Real difs_us = 28.0;
-  unsigned cw_min = 15;
-  unsigned cw_max = 1023;
-  /// Victim flow PHY rate (802.11g, Mbps) and frame size.
-  Real phy_rate_mbps = 36.0;
-  std::size_t frame_bytes = 1500;
-  Real phy_overhead_us = 26.0;  ///< preamble + SIGNAL + SIFS+ACK equivalent
-  /// TCP efficiency factor applied to the MAC goodput (ACK return traffic,
-  /// TCP/IP headers): iperf reports ~0.85 of MAC-layer goodput.
-  Real tcp_efficiency = 0.85;
-  /// Rate adaptation: consecutive losses step the PHY rate down one notch
-  /// (54 -> 48 -> 36 -> 24 ...), successes step it back up. Matches the
-  /// paper's "default Wi-Fi rate adaptation".
-  bool rate_adaptation = true;
-};
-
+/// The backscatter interferer. Its frame is a 96 us short sync/header plus
+/// 32 B at 2 Mbps (224 us on air), and an overlapping burst corrupts the
+/// victim frame with a fixed capture probability (dcf.cpp).
 struct InterfererConfig {
   Real packets_per_second = 0.0;
-  /// Tag frame: 96 us short sync/header + 32 B at 2 Mbps = 224 us.
-  Real packet_duration_us = 224.0;
   bool on_victim_channel = false;   ///< true for DSB's mirror copy
-  /// Probability that an overlapping backscatter burst actually corrupts
-  /// the victim frame. Backscattered signals are weak (the mirror copy
-  /// arrives tens of dB below the AP's signal), so capture effect lets many
-  /// overlapped frames survive; 0.65 matches the paper's 2 ft tag-receiver
-  /// geometry against a 10 ft victim link (calibrated to Fig. 12).
-  Real corruption_probability = 0.65;
 };
 
 struct DcfResult {
@@ -58,9 +34,10 @@ struct DcfResult {
   std::uint64_t frames_lost = 0;
 };
 
-/// Simulates `duration_s` seconds of a saturated flow with the given
+/// Simulates `duration_s` seconds of the saturated victim flow (1500 B
+/// frames starting at 36 Mbps, with rate adaptation) next to the given
 /// interferer, returning goodput and loss statistics.
-DcfResult simulate_dcf(const DcfConfig& cfg, const InterfererConfig& interferer,
-                       Real duration_s, std::uint64_t seed);
+DcfResult simulate_dcf(const InterfererConfig& interferer, Real duration_s,
+                       std::uint64_t seed);
 
 }  // namespace itb::mac

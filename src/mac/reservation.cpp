@@ -51,7 +51,7 @@ ReservationOutcome reservation_outcome(const ReservationConfig& raw) {
       out.p_clean = (1.0 - busy) * cts;
       out.p_collision = 0.0;
       out.p_silent = 1.0 - out.p_clean;
-      out.control_overhead_us = cfg.ble_packet_us;
+      out.control_overhead_us = kAdvPacketUs;
       break;
     case ReservationScheme::kDataAsRts:
       // Slot 1 carries data and doubles as the RTS: clean w.p. (1-busy),
@@ -104,7 +104,7 @@ ReservationResult evaluate_reservation(const ReservationConfig& raw,
       case ReservationScheme::kTagRts: {
         // Advertisement on 37 carries the RTS (no data). If the channel is
         // free and the CTS is detected, 38/39 are protected.
-        control_us += cfg.ble_packet_us;
+        control_us += kAdvPacketUs;
         const bool channel_free = rng.uniform() >= cfg.channel_busy_probability;
         const bool cts_seen = rng.uniform() < cfg.cts_detection_probability;
         if (channel_free && cts_seen) {

@@ -23,6 +23,11 @@ namespace itb::mac {
 
 using itb::dsp::Real;
 
+/// Airtime of a 47-byte BLE advertising packet at 1 Mbps. A helper repeats
+/// it on the three advertising channels every interval, illuminating (and
+/// powering) the tags in range; an RTS scheme spends one on control.
+inline constexpr Real kAdvPacketUs = 376.0;
+
 enum class ReservationScheme {
   kNone,
   kCtsToSelf,   ///< optimization 1
@@ -32,7 +37,6 @@ enum class ReservationScheme {
 
 struct ReservationConfig {
   ReservationScheme scheme = ReservationScheme::kNone;
-  Real ble_packet_us = 376.0;  ///< 47-byte advertising packet at 1 Mbps
   /// Probability that the Wi-Fi channel is busy at any instant (ambient load).
   /// Values outside [0, 1] are clamped by the evaluators (NaN -> 0).
   Real channel_busy_probability = 0.3;

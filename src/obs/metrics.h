@@ -46,8 +46,6 @@ class MetricsRegistry {
   MetricId counter(std::string name);
   MetricId histogram(std::string name, std::vector<double> upper_edges);
 
-  std::size_t size() const { return specs_.size(); }
-
   /// A zeroed accumulation block laid out for this schema.
   MetricCells make_cells() const;
 
@@ -98,7 +96,6 @@ struct MetricValue {
 
 class MetricsSnapshot {
  public:
-  const std::vector<MetricValue>& metrics() const { return metrics_; }
   const MetricValue* find(std::string_view name) const;
   /// 0 / 0.0 when the metric is missing or of another kind.
   std::uint64_t counter_value(std::string_view name) const;

@@ -29,8 +29,6 @@ class CrcEngine {
   /// CRC of packed bytes processed LSB-first.
   std::uint32_t compute_bytes(std::span<const std::uint8_t> bytes) const;
 
-  int width() const { return width_; }
-
  private:
   int width_;
   std::uint32_t poly_;

@@ -38,7 +38,7 @@ enum class FaultKind : std::uint8_t {
   /// entity = Wi-Fi channel *number* (1..14, as in NetworkConfig).
   kInterference = 1,
   /// Tag harvest brownout: the IC's storage cap sags below the logic
-  /// retention voltage (backscatter::IcPowerConfig territory), so the tag
+  /// retention voltage (backscatter::IcPowerModel territory), so the tag
   /// neither decodes queries nor replies. entity = tag id.
   kBrownout = 2,
   /// Transient fleet-wide SNR slump of magnitude_db (e.g. body movement

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "backscatter/ic_power.h"
 #include "ble/channel_map.h"
 #include "channel/awgn.h"
 #include "core/interscatter.h"
@@ -20,10 +21,8 @@ namespace itb::sim {
 
 namespace {
 
-/// 47-byte BLE advertising packet at 1 Mbps; the helper repeats it on the
-/// three advertising channels every interval, illuminating (and powering)
-/// the tags in range.
-constexpr Real kAdvPacketUs = 376.0;
+/// AP transmit power for the OFDM-AM downlink query.
+constexpr Real kApTxPowerDbm = 15.0;
 
 /// CCA energy-detect threshold: leakage below this never makes the victim
 /// channel look busy, it only raises the noise floor.
@@ -73,9 +72,7 @@ struct ShardAgg : PollCounters {
 /// fold over that tag's own attempt outcomes, so thread-count invariant).
 struct ArqProgress {
   bool in_flight = false;         ///< a message is being delivered
-  std::size_t frag = 0;           ///< next fragment index to deliver
-  std::size_t frag_attempts = 0;  ///< attempts spent on the current fragment
-  std::size_t msg_attempts = 0;   ///< attempts spent on the whole message
+  std::size_t attempts = 0;       ///< attempts spent on the current message
   std::size_t retx_used = 0;      ///< retransmissions charged to the budget
   std::size_t fail_streak = 0;    ///< consecutive failed attempts (backoff)
   std::size_t backoff_remaining = 0;  ///< slots left to idle before retrying
@@ -135,19 +132,11 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
         "NetworkConfig: tags present but no helpers or no APs");
   }
 
-  // Effective wire size of one attempt: with ARQ every fragment carries the
-  // mac/arq framing (header + CRC) on top of its payload share.
-  fragments_ = cfg_.enable_arq
-                   ? mac::fragment_count(cfg_.payload_bytes,
-                                         cfg_.arq.fragment_bytes)
-                   : 1;
-  const std::size_t frag_payload =
-      cfg_.enable_arq && cfg_.arq.fragment_bytes > 0
-          ? std::min(cfg_.arq.fragment_bytes, std::max<std::size_t>(
-                                                  cfg_.payload_bytes, 1))
-          : cfg_.payload_bytes;
-  wire_bytes_ = cfg_.enable_arq ? frag_payload + mac::kFragmentOverheadBytes
-                                : cfg_.payload_bytes;
+  // Effective wire size of one attempt: with ARQ the message carries the
+  // mac/arq framing (header + CRC) on top of its payload.
+  wire_bytes_ = cfg_.enable_arq
+                    ? cfg_.payload_bytes + mac::kFragmentOverheadBytes
+                    : cfg_.payload_bytes;
 
   timeline_ = FaultTimeline(cfg_.faults, placement_.aps.size(),
                             cfg_.wifi_channels, n);
@@ -193,7 +182,7 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
   // Downlink: the AP's OFDM-AM query must clear the tag's peak detector
   // after the tissue loss; below sensitivity the tag never hears it.
   const auto downlink_rssi = [&](Real ap_distance_m) {
-    return itb::channel::direct_rssi_dbm(cfg_.ap_tx_power_dbm, 2.0, 2.0, pl,
+    return itb::channel::direct_rssi_dbm(kApTxPowerDbm, 2.0, 2.0, pl,
                                          ap_distance_m) -
            cfg_.tag_medium_loss_db;
   };
@@ -383,9 +372,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   const double query_us = static_cast<double>(mac::QueryFrame::kBits) /
                           cfg_.polling.downlink_kbps * 1e3;
   const double payload_bits = static_cast<double>(cfg_.payload_bytes) * 8.0;
-  /// Application bits one delivered fragment is worth (the framing bytes
-  /// are overhead, not goodput).
-  const double frag_bits = payload_bits / static_cast<double>(fragments_);
   const mac::LinkWaveform initial_waveform = mac::waveform_for_rate(cfg_.rate);
 
   // Per-group reservation outcome (closed form, O(1) per reply).
@@ -403,7 +389,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
 
   // Per-rung attempt airtime and IC transmit energy (per group: the SSB
   // shift sets the synthesizer power). uW * us = pJ, stored as nJ.
-  const itb::backscatter::IcPowerModel power(cfg_.ic_power);
+  const itb::backscatter::IcPowerModel power;
   const Real ble_hz = itb::ble::ChannelMap::frequency_hz(cfg_.ble_channel);
   std::vector<Real> shift_hz(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) {
@@ -581,19 +567,9 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               recovery.record(t_us - st.disrupted_since_us);
               st.disrupted = false;
             }
-            if (!cfg_.enable_arq) {
-              ++ts.messages_delivered;
-              retries.record(1);
-              st.in_flight = false;
-              return;
-            }
-            ++st.frag;
-            st.frag_attempts = 0;
-            if (st.frag >= fragments_) {
-              ++ts.messages_delivered;
-              retries.record(st.msg_attempts);
-              st.in_flight = false;
-            }
+            ++ts.messages_delivered;
+            retries.record(st.attempts);
+            st.in_flight = false;
             return;
           }
           mark_disrupted(st, t_us);
@@ -603,7 +579,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             return;
           }
           ++st.fail_streak;
-          if (st.frag_attempts >= cfg_.arq.max_attempts ||
+          if (st.attempts >= cfg_.arq.max_attempts ||
               st.retx_used >= cfg_.arq.retry_budget) {
             ++ts.messages_dropped;
             st.in_flight = false;
@@ -691,19 +667,16 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             // This poll is a real delivery attempt.
             if (!st.in_flight) {
               st.in_flight = true;
-              st.frag = 0;
-              st.frag_attempts = 0;
-              st.msg_attempts = 0;
+              st.attempts = 0;
               st.retx_used = 0;
               ++ts.messages_offered;
             }
-            const bool retx = cfg_.enable_arq && st.frag_attempts > 0;
+            const bool retx = cfg_.enable_arq && st.attempts > 0;
             if (retx) {
               ++ts.retransmissions;
               ++st.retx_used;
             }
-            ++st.frag_attempts;
-            ++st.msg_attempts;
+            ++st.attempts;
             if (failover) ++ts.failover_polls;
             if (st.fallback.degraded()) ++ts.fallback_polls;
 
@@ -781,7 +754,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               continue;
             }
             ++ts.replies_received;
-            ts.payload_bits += cfg_.enable_arq ? frag_bits : payload_bits;
+            ts.payload_bits += payload_bits;
             record_trace(t_reply_us, tag, round, PollOutcome::kDelivered, wf,
                          serving_ap, retx);
             const double done_us = t_reply_us + attempt_airtime_us[wi];
@@ -821,7 +794,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
           // the tag's own downlink illumination on top.
           const double adv_events =
               elapsed / (cfg_.polling.advertising_interval_ms * 1e3);
-          ts.harvest_us = adv_events * 3.0 * kAdvPacketUs +
+          ts.harvest_us = adv_events * 3.0 * mac::kAdvPacketUs +
                           static_cast<double>(ts.queries_sent) * query_us;
           // Metrics flush: counters derive from the TagStats this shard
           // just finished writing, so the hot loop pays nothing for them.

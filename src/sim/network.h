@@ -27,11 +27,12 @@
 //     busy probability, brownouts power tags off, SNR slumps degrade every
 //     reply. Fault gating is slot-atomic: the AP/brownout state sampled at
 //     query time holds for the whole poll.
-//   ARQ — mac/arq selective-repeat: a message splits into
-//     mac::fragment_count() fragments, each paying its header and CRC on
-//     air (mac::kFragmentOverheadBytes), and each fragment retries up to
-//     max_attempts with capped exponential backoff (idled TDMA slots),
-//     bounded by a per-message retransmission budget. Without ARQ every poll is a one-shot message.
+//   ARQ — mac/arq retransmission: each message travels as one fragment
+//     that pays mac::kFragmentOverheadBytes (5 B of header and CRC) on air
+//     on top of its payload, and retries up to max_attempts with capped
+//     exponential backoff (idled TDMA slots), bounded by a per-message
+//     retransmission budget. Without ARQ every poll is a one-shot message
+//     of the bare payload.
 //   Fallback — a per-tag mac::RateFallbackController walks the DSSS ladder
 //     (optionally into ZigBee) on consecutive decode failures/collisions
 //     and probes back up on success; attempt airtime, PER, and IC energy
@@ -63,7 +64,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "backscatter/ic_power.h"
 #include "channel/link.h"
 #include "mac/arq.h"
 #include "mac/query_reply.h"
@@ -105,14 +105,12 @@ struct NetworkConfig {
   Real tag_medium_loss_db = 3.0;  ///< implanted: one-way tissue loss
   /// Tag peak-detector sensitivity for the downlink (paper: -32 dBm).
   Real detector_sensitivity_dbm = -32.0;
-  Real ap_tx_power_dbm = 15.0;
-  backscatter::IcPowerConfig ic_power{};
   // --- resilience ------------------------------------------------------
   /// Injected fault events (empty = fault-free). Hand-built via the
   /// FaultSchedule builder or drawn with generate_fault_schedule().
   FaultSchedule faults{};
-  /// Link-layer ARQ: fragmentation + selective-repeat retries. Off, every
-  /// poll is a one-shot message (failed poll = dropped message).
+  /// Link-layer ARQ: framed messages + retries. Off, every poll is a
+  /// one-shot message (failed poll = dropped message).
   bool enable_arq = false;
   mac::ArqConfig arq{};
   /// Graceful-degradation ladder (enabled inside FallbackConfig).
@@ -150,7 +148,7 @@ struct TagLink {
   /// polls resolve to PollOutcome::kLinkDown without drawing.
   bool link_down = false;
   /// PER per fallback rung at the leakage-degraded SNR and the effective
-  /// wire size (ARQ fragment framing included when enabled). Indexed by
+  /// wire size (ARQ framing included when enabled). Indexed by
   /// mac::LinkWaveform; [waveform_for_rate(cfg.rate)] is the rung polls
   /// start at. Only the rungs in mac::reachable_rungs(cfg.fallback,
   /// waveform_for_rate(cfg.rate)) are evaluated, since no poll can reach
@@ -200,15 +198,11 @@ class NetworkCoordinator {
 
   // Introspection (tests, benches, examples).
   const NetworkConfig& config() const { return cfg_; }
-  const Placement& placement() const { return placement_; }
   const std::vector<TagLink>& links() const { return links_; }
   const std::vector<ChannelStats>& channel_plan() const { return channels_; }
-  const FaultTimeline& fault_timeline() const { return timeline_; }
-  /// Bytes each attempt puts on the air: payload_bytes plus the ARQ
-  /// fragment framing when ARQ splits/frames the message.
+  /// Bytes each attempt puts on the air: payload_bytes, plus
+  /// mac::kFragmentOverheadBytes of framing with ARQ.
   std::size_t wire_bytes() const { return wire_bytes_; }
-  /// Fragments per message (1 without ARQ or fragmentation).
-  std::size_t fragments_per_message() const { return fragments_; }
 
  private:
   NetworkConfig cfg_;
@@ -220,7 +214,6 @@ class NetworkCoordinator {
   std::vector<std::vector<std::uint32_t>> group_tags_;
   FaultTimeline timeline_;  ///< compiled faults; immutable during run()
   std::size_t wire_bytes_ = 0;
-  std::size_t fragments_ = 1;
 };
 
 }  // namespace itb::sim

@@ -48,10 +48,6 @@ class SpatialHashGrid {
   /// skips one node index (next-nearest queries, e.g. AP failover).
   std::size_t nearest(const Vec2& p, std::size_t exclude = npos) const;
 
-  std::size_t size() const { return nodes_.size(); }
-  const std::vector<Vec2>& nodes() const { return nodes_; }
-  Real cell_size_m() const { return cell_; }
-
  private:
   std::size_t cell_of(const Vec2& p) const;
 

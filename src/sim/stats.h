@@ -62,7 +62,7 @@ struct RetryHistogram {
 /// How one TDMA poll slot resolved. Each poll trace event is named after
 /// its outcome (poll_outcome_name).
 enum class PollOutcome : std::uint8_t {
-  kDelivered = 0,         ///< fragment decoded at the AP
+  kDelivered = 0,         ///< reply decoded at the AP
   kDownlinkMiss = 1,      ///< tag never heard the query
   kReservationDenied = 2, ///< tag stayed silent (reservation not granted)
   kCollision = 3,
@@ -90,7 +90,7 @@ struct PollCounters {
   // --- resilience (ARQ / faults / fallback) ---------------------------
   std::uint64_t retransmissions = 0;
   std::uint64_t backoff_skips = 0;       ///< slots idled by ARQ backoff
-  std::uint64_t messages_delivered = 0;  ///< all fragments decoded
+  std::uint64_t messages_delivered = 0;  ///< message decoded at the AP
   std::uint64_t messages_dropped = 0;    ///< retry budget / attempts exhausted
   std::uint64_t rate_downshifts = 0;
   std::uint64_t rate_upshifts = 0;

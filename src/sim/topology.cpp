@@ -75,32 +75,31 @@ std::vector<Vec2> uniform_disk(std::size_t n, Real radius,
 Placement hospital_ward(const TopologyConfig& cfg,
                         itb::dsp::Xoshiro256& rng) {
   Placement out;
-  const std::size_t beds = cfg.beds_per_room == 0 ? 1 : cfg.beds_per_room;
-  const std::size_t rooms = (cfg.num_tags + beds - 1) / beds;
-  const Real corridor_y = cfg.room_depth_m;  // corridor axis
+  const std::size_t rooms = (cfg.num_tags + kBedsPerRoom - 1) / kBedsPerRoom;
+  const Real corridor_y = kRoomDepthM;  // corridor axis
 
   // Every room uses the same bed lattice; compute it once, not per room.
-  const auto bed_grid = lattice(beds, cfg.room_pitch_m * 0.8);
+  const auto bed_grid = lattice(kBedsPerRoom, kRoomPitchM * 0.8);
   // Rooms alternate sides of the corridor: room r sits at x = pitch*(r/2),
   // y = 0 (south) or 2*room_depth (north).
   for (std::size_t r = 0; r < rooms && out.tags.size() < cfg.num_tags; ++r) {
-    const Real cx = cfg.room_pitch_m * (static_cast<Real>(r / 2) + 0.5);
-    const Real cy = (r % 2 == 0) ? corridor_y - cfg.room_depth_m * 0.6
-                                 : corridor_y + cfg.room_depth_m * 0.6;
+    const Real cx = kRoomPitchM * (static_cast<Real>(r / 2) + 0.5);
+    const Real cy = (r % 2 == 0) ? corridor_y - kRoomDepthM * 0.6
+                                 : corridor_y + kRoomDepthM * 0.6;
     // One BLE helper per room, wall-mounted at the room centre.
     out.helpers.push_back({cx, cy});
     // Beds on the shared lattice; one tag per bed, scattered.
-    for (std::size_t b = 0; b < beds && out.tags.size() < cfg.num_tags; ++b) {
-      const Real jx = rng.uniform(-cfg.bed_scatter_m, cfg.bed_scatter_m);
-      const Real jy = rng.uniform(-cfg.bed_scatter_m, cfg.bed_scatter_m);
-      out.tags.push_back({cx - cfg.room_pitch_m * 0.4 + bed_grid[b].x + jx,
-                          cy - cfg.room_pitch_m * 0.4 + bed_grid[b].y + jy});
+    for (std::size_t b = 0;
+         b < kBedsPerRoom && out.tags.size() < cfg.num_tags; ++b) {
+      const Real jx = rng.uniform(-kBedScatterM, kBedScatterM);
+      const Real jy = rng.uniform(-kBedScatterM, kBedScatterM);
+      out.tags.push_back({cx - kRoomPitchM * 0.4 + bed_grid[b].x + jx,
+                          cy - kRoomPitchM * 0.4 + bed_grid[b].y + jy});
     }
   }
 
   // APs down the corridor covering the occupied span.
-  const Real span = cfg.room_pitch_m *
-                    (static_cast<Real>((rooms + 1) / 2) + 0.5);
+  const Real span = kRoomPitchM * (static_cast<Real>((rooms + 1) / 2) + 0.5);
   out.aps = midline(cfg.num_aps, span, corridor_y);
   // num_helpers is advisory for the ward: the ward places one per room, but
   // honours an explicit smaller count by trimming (keeps coverage sparse).

@@ -40,6 +40,15 @@ enum class TopologyKind {
   kHospitalWard,
 };
 
+// --- hospital-ward geometry ------------------------------------------------
+inline constexpr std::size_t kBedsPerRoom = 4;
+/// Spacing of rooms along the corridor, meters.
+inline constexpr Real kRoomPitchM = 6.0;
+/// Rooms sit this far off the corridor axis, meters.
+inline constexpr Real kRoomDepthM = 5.0;
+/// Tag scatter radius around its bed, meters.
+inline constexpr Real kBedScatterM = 0.5;
+
 struct TopologyConfig {
   TopologyKind kind = TopologyKind::kGrid;
   std::size_t num_tags = 16;
@@ -47,11 +56,6 @@ struct TopologyConfig {
   std::size_t num_aps = 3;      ///< Wi-Fi access points receiving replies
   /// Grid side length / disk radius / corridor length, meters.
   Real extent_m = 20.0;
-  // --- hospital-ward parameters ---------------------------------------
-  std::size_t beds_per_room = 4;
-  Real room_pitch_m = 6.0;   ///< spacing of rooms along the corridor
-  Real room_depth_m = 5.0;   ///< rooms sit this far off the corridor axis
-  Real bed_scatter_m = 0.5;  ///< tag scatter radius around its bed
   std::uint64_t seed = 1;
 };
 

@@ -13,6 +13,18 @@ using itb::dsp::Complex;
 using itb::dsp::Real;
 using itb::phy::Bits;
 
+namespace {
+
+/// Scrambled fill of a constant symbol: 1 -> all-ones coded stream.
+constexpr std::uint8_t kConstantFill = 1;
+/// Minimum |last time sample| of a random symbol preceding a constant one,
+/// relative to the symbol's RMS (CP-glitch avoidance), and the re-roll
+/// limit for reaching it.
+constexpr Real kMinTailAmplitudeRatio = 1.0;
+constexpr std::size_t kMaxRerollAttempts = 64;
+
+}  // namespace
+
 AmDownlinkEncoder::AmDownlinkEncoder(const AmDownlinkConfig& cfg,
                                      std::uint64_t rng_seed)
     // The raw seed is kept on purpose: Xoshiro256's constructor already
@@ -30,7 +42,7 @@ Bits AmDownlinkEncoder::constant_symbol_data_bits(std::size_t bit_offset,
   Bits out(n_dbps);
   for (std::size_t i = 0; i < n_dbps; ++i) {
     // scrambled = data XOR seq; we need scrambled == fill everywhere.
-    out[i] = (seq[bit_offset + i] ^ cfg_.constant_fill) & 1;
+    out[i] = (seq[bit_offset + i] ^ kConstantFill) & 1;
   }
   return out;
 }
@@ -79,7 +91,7 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
 
     // Random symbol. SERVICE bits (first 16 of symbol 0) stay zero.
     const std::size_t rand_start = s == 0 ? 16 : 0;
-    for (std::size_t attempt = 0; attempt < cfg_.max_reroll_attempts; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kMaxRerollAttempts; ++attempt) {
       for (std::size_t i = rand_start; i < n_dbps; ++i) {
         data[off + i] = rng_.bit() ? 1 : 0;
       }
@@ -88,7 +100,7 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
       // *scrambled* bits to the fill value; the convolutional encoder's
       // memory then enters it in the right state.
       for (std::size_t i = n_dbps - 6; i < n_dbps; ++i) {
-        data[off + i] = (scramble_seq[off + i] ^ cfg_.constant_fill) & 1;
+        data[off + i] = (scramble_seq[off + i] ^ kConstantFill) & 1;
       }
 
       // Constraint 3: check the last time-domain sample amplitude of this
@@ -101,7 +113,7 @@ AmFrame AmDownlinkEncoder::encode(const Bits& message_bits) {
           r.baseband.data() + sym_start, kSymbolSamples);
       const Real tail = std::abs(sym[kSymbolSamples - 1]);
       const Real avg = itb::dsp::rms(sym);
-      if (tail >= cfg_.min_tail_amplitude_ratio * avg) break;
+      if (tail >= kMinTailAmplitudeRatio * avg) break;
     }
   }
 

@@ -26,14 +26,11 @@
 
 namespace itb::wifi {
 
+/// Constant symbols scramble to all ones, and the CP-glitch re-roll limits
+/// are fixed in am_downlink.cpp.
 struct AmDownlinkConfig {
   OfdmRate rate = OfdmRate::k36;       ///< paper uses 36 Mbps (16-QAM 3/4)
   std::uint8_t scrambler_seed = 0x5D;  ///< must match the chipset's next seed
-  std::uint8_t constant_fill = 1;      ///< 1 -> all-ones coded stream
-  /// Minimum |last time sample| of a random symbol preceding a constant one,
-  /// relative to the symbol's RMS (CP-glitch avoidance).
-  itb::dsp::Real min_tail_amplitude_ratio = 1.0;
-  std::size_t max_reroll_attempts = 64;
 };
 
 struct AmFrame {
@@ -56,8 +53,6 @@ class AmDownlinkEncoder {
   /// the scrambled stream: data = scramble_seq XOR fill.
   itb::phy::Bits constant_symbol_data_bits(std::size_t bit_offset,
                                            std::size_t n_dbps) const;
-
-  const AmDownlinkConfig& config() const { return cfg_; }
 
  private:
   AmDownlinkConfig cfg_;

@@ -51,7 +51,6 @@ class CckModulator {
   /// dibit: 2 bits for 5.5 Mbps, 6 bits for 11 Mbps.
   std::array<unsigned, 3> data_phases(std::span<const std::uint8_t> data) const;
 
-  std::size_t bits_per_symbol() const { return bits_per_symbol_; }
   /// Starts a new symbol stream whose p1 reference is `initial_quadrant`.
   void reset(unsigned initial_quadrant = 0);
 

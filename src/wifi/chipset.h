@@ -43,8 +43,6 @@ class SeedSequencer {
   /// Seed for the next transmitted frame.
   std::uint8_t next();
 
-  const ChipsetModel& model() const { return model_; }
-
  private:
   ChipsetModel model_;
   std::uint8_t current_;

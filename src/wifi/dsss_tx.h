@@ -38,8 +38,6 @@ class DsssTransmitter {
   /// Modulates a PSDU into a frame (PLCP preamble + header + data).
   DsssFrame modulate(const Bytes& psdu) const;
 
-  const DsssTxConfig& config() const { return cfg_; }
-
  private:
   DsssTxConfig cfg_;
 };

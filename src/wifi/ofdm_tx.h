@@ -43,8 +43,6 @@ class OfdmTransmitter {
   /// multiple of N_DBPS.
   OfdmTxResult transmit_data_bits(const Bits& data_field) const;
 
-  const OfdmTxConfig& config() const { return cfg_; }
-
   /// Number of pad bits etc. for a PSDU at this rate.
   std::size_t data_field_bits(std::size_t psdu_bytes) const;
 

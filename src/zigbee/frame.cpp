@@ -21,10 +21,10 @@ Bytes build_ppdu(const Bytes& mac_payload) {
   return out;
 }
 
-ZigbeeTxResult zigbee_transmit(const Bytes& mac_payload, const OqpskConfig& cfg) {
+ZigbeeTxResult zigbee_transmit(const Bytes& mac_payload) {
   ZigbeeTxResult out;
   out.ppdu = build_ppdu(mac_payload);
-  OqpskModulator mod(cfg);
+  const OqpskModulator mod;
   out.baseband = mod.modulate_bytes(out.ppdu);
   out.duration_us = static_cast<double>(out.ppdu.size()) * 2.0 /
                     (kSymbolRateHz / 1e6);  // 2 symbols per byte
@@ -55,10 +55,9 @@ std::optional<ParsedPpdu> parse_ppdu(const Bytes& stream) {
   return std::nullopt;
 }
 
-std::optional<ZigbeeRxResult> zigbee_receive(const CVec& samples,
-                                             const OqpskConfig& cfg) {
-  OqpskDemodulator demod(cfg);
-  const std::size_t spc = cfg.samples_per_chip;
+std::optional<ZigbeeRxResult> zigbee_receive(const CVec& samples) {
+  const OqpskDemodulator demod;
+  constexpr std::size_t spc = kSamplesPerChip;
 
   // Timing search within one branch period, keyed on finding the SFD. The
   // noncoherent soft detector absorbs any static carrier rotation (the old

@@ -31,8 +31,7 @@ struct ZigbeeTxResult {
   Bytes ppdu;
   double duration_us = 0.0;
 };
-ZigbeeTxResult zigbee_transmit(const Bytes& mac_payload,
-                               const OqpskConfig& cfg = {});
+ZigbeeTxResult zigbee_transmit(const Bytes& mac_payload);
 
 /// Receiver: preamble/SFD acquisition, PHR decode, FCS verification.
 struct ZigbeeRxResult {
@@ -41,7 +40,6 @@ struct ZigbeeRxResult {
   itb::dsp::Real rssi_dbm = 0.0;
   std::size_t sfd_symbol_index = 0;
 };
-std::optional<ZigbeeRxResult> zigbee_receive(const CVec& samples,
-                                             const OqpskConfig& cfg = {});
+std::optional<ZigbeeRxResult> zigbee_receive(const CVec& samples);
 
 }  // namespace itb::zigbee

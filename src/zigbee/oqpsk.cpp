@@ -58,13 +58,12 @@ Bits symbol_chips(unsigned symbol) {
   return out;
 }
 
-OqpskModulator::OqpskModulator(const OqpskConfig& cfg) : cfg_(cfg) {
-  pulse_ = itb::dsp::half_sine_pulse(2 * cfg_.samples_per_chip);
-}
+OqpskModulator::OqpskModulator()
+    : pulse_(itb::dsp::half_sine_pulse(2 * kSamplesPerChip)) {}
 
 CVec OqpskModulator::modulate_chips(const Bits& chips) const {
   assert(chips.size() % 2 == 0);
-  const std::size_t spc = cfg_.samples_per_chip;
+  constexpr std::size_t spc = kSamplesPerChip;
   // Each chip occupies 2*spc samples on its branch (chips alternate I/Q at
   // 2 Mchip/s aggregate; each branch runs at 1 Mchip/s). Q is offset by one
   // chip period (spc samples at the aggregate rate).
@@ -102,11 +101,9 @@ CVec OqpskModulator::modulate_bytes(const Bytes& bytes) const {
   return modulate_chips(chips);
 }
 
-OqpskDemodulator::OqpskDemodulator(const OqpskConfig& cfg) : cfg_(cfg) {}
-
 CVec OqpskDemodulator::soft_chips(const CVec& samples,
                                   std::size_t offset_samples) const {
-  const std::size_t spc = cfg_.samples_per_chip;
+  constexpr std::size_t spc = kSamplesPerChip;
   CVec chips;
   // Sample each branch at its pulse peak: I chips peak at start + spc,
   // Q chips at start + 2*spc (centre of the half-sine). At a branch peak the

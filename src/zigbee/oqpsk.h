@@ -30,18 +30,16 @@ const std::array<std::uint32_t, 16>& chip_table();
 /// Expands a symbol (0..15) into 32 chips (0/1 values).
 Bits symbol_chips(unsigned symbol);
 
+/// Baseband samples per chip, and the resulting sample rate (8 Msps).
+inline constexpr std::size_t kSamplesPerChip = 4;
+inline constexpr Real kSampleRateHz =
+    kChipRateHz * static_cast<Real>(kSamplesPerChip);
+
 /// O-QPSK modulator: even chips on I, odd chips on Q, half-sine pulse
 /// shaping, Q delayed by half a chip period.
-struct OqpskConfig {
-  std::size_t samples_per_chip = 4;  ///< sample rate = 2 MHz * spc
-  Real sample_rate_hz() const {
-    return kChipRateHz * static_cast<Real>(samples_per_chip);
-  }
-};
-
 class OqpskModulator {
  public:
-  explicit OqpskModulator(const OqpskConfig& cfg = {});
+  OqpskModulator();
 
   /// Modulates a chip stream (multiple of 2 chips) to complex baseband.
   CVec modulate_chips(const Bits& chips) const;
@@ -49,10 +47,7 @@ class OqpskModulator {
   /// Modulates bytes: each byte = low nibble symbol first.
   CVec modulate_bytes(const Bytes& bytes) const;
 
-  const OqpskConfig& config() const { return cfg_; }
-
  private:
-  OqpskConfig cfg_;
   itb::dsp::RVec pulse_;
 };
 
@@ -60,8 +55,6 @@ class OqpskModulator {
 /// samples against the 16 PN sequences.
 class OqpskDemodulator {
  public:
-  explicit OqpskDemodulator(const OqpskConfig& cfg = {});
-
   /// Complex chip samples at the branch pulse peaks (I chips on the real
   /// axis, Q chips on the imaginary axis when on-channel); `offset_samples`
   /// points at the first sample of chip 0. A carrier phase or frequency
@@ -77,9 +70,6 @@ class OqpskDemodulator {
   /// the low-power-tag regime where per-chip sign decisions lose every chip
   /// — while still penalizing phase discontinuities from corrupted chips.
   Bytes soft_chips_to_bytes(const CVec& soft) const;
-
- private:
-  OqpskConfig cfg_;
 };
 
 }  // namespace itb::zigbee

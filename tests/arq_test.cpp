@@ -1,6 +1,5 @@
-// Tests for the link-layer ARQ building blocks (src/mac/arq.h): fragment
-// counting, the capped-exponential backoff policy and the rate/waveform
-// fallback ladder.
+// Tests for the link-layer ARQ building blocks (src/mac/arq.h): the
+// capped-exponential backoff policy and the rate/waveform fallback ladder.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,16 +9,6 @@
 
 namespace itb::mac {
 namespace {
-
-// --- fragmentation -----------------------------------------------------------
-
-TEST(ArqFragment, CountCoversMessage) {
-  EXPECT_EQ(fragment_count(0, 10), 1u);
-  EXPECT_EQ(fragment_count(30, 0), 1u);   // 0 = no fragmentation
-  EXPECT_EQ(fragment_count(30, 10), 3u);
-  EXPECT_EQ(fragment_count(31, 10), 4u);
-  EXPECT_EQ(fragment_count(10, 10), 1u);
-}
 
 // --- retry policy ------------------------------------------------------------
 
@@ -43,11 +32,9 @@ TEST(ArqConfigTest, ValidatedClampsDegenerateValues) {
   cfg.max_attempts = 0;
   cfg.backoff_base_slots = 16;
   cfg.backoff_cap_slots = 4;  // cap below base
-  cfg.fragment_bytes = 1;     // 4096-byte message would need 4096 fragments
   const ArqConfig v = cfg.validated();
   EXPECT_EQ(v.max_attempts, 1u);
   EXPECT_GE(v.backoff_cap_slots, v.backoff_base_slots);
-  EXPECT_EQ(v.fragment_bytes, 0u);  // degrades to no fragmentation
 }
 
 // --- fallback ladder ---------------------------------------------------------

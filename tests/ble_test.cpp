@@ -179,7 +179,7 @@ TEST(Gfsk, AlternatingBitsStayWithin2MhzBandwidth) {
   Bits bits;
   for (int i = 0; i < 256; ++i) bits.push_back(i % 2);
   const itb::dsp::CVec s = mod.modulate(bits);
-  const itb::dsp::Psd psd = itb::dsp::welch_psd(s, mod.config().sample_rate_hz);
+  const itb::dsp::Psd psd = itb::dsp::welch_psd(s, kGfskSampleRateHz);
   EXPECT_LT(itb::dsp::occupied_bandwidth_hz(psd, 0.99), 2.2e6);
 }
 
@@ -247,7 +247,7 @@ TEST(SingleTone, SpectrumCollapsesToSingleTone) {
 
   const auto payload_samples = [&](const AdvPacket& pkt) {
     const itb::dsp::CVec all = mod.modulate(pkt.air_bits);
-    const std::size_t sps = mod.samples_per_symbol();
+    const std::size_t sps = kGfskSamplesPerSymbol;
     return itb::dsp::CVec(all.begin() + pkt.payload_start_bit * sps,
                           all.begin() + pkt.payload_end_bit * sps);
   };
@@ -256,9 +256,9 @@ TEST(SingleTone, SpectrumCollapsesToSingleTone) {
   const itb::dsp::CVec rand_sig = payload_samples(random_pkt);
 
   const itb::dsp::Psd tone_psd =
-      itb::dsp::welch_psd(tone_sig, mod.config().sample_rate_hz);
+      itb::dsp::welch_psd(tone_sig, kGfskSampleRateHz);
   const itb::dsp::Psd rand_psd =
-      itb::dsp::welch_psd(rand_sig, mod.config().sample_rate_hz);
+      itb::dsp::welch_psd(rand_sig, kGfskSampleRateHz);
 
   EXPECT_LT(itb::dsp::occupied_bandwidth_hz(tone_psd, 0.99), 200e3);
   EXPECT_GT(itb::dsp::occupied_bandwidth_hz(rand_psd, 0.99), 600e3);
@@ -285,9 +285,8 @@ TEST(DeviceProfile, CfoShiftsTone) {
   p.phase_noise_rad_rms = 0.0;
   itb::dsp::Xoshiro256 rng(4);
   const itb::dsp::CVec impaired =
-      apply_impairments(clean, p, mod.config().sample_rate_hz, rng);
-  const itb::dsp::Psd psd =
-      itb::dsp::welch_psd(impaired, mod.config().sample_rate_hz);
+      apply_impairments(clean, p, kGfskSampleRateHz, rng);
+  const itb::dsp::Psd psd = itb::dsp::welch_psd(impaired, kGfskSampleRateHz);
   EXPECT_NEAR(itb::dsp::peak_frequency_hz(psd), 350e3, 40e3);
 }
 
@@ -301,7 +300,7 @@ TEST(DeviceProfile, TxPowerScalesAmplitude) {
   p.cfo_hz = 0.0;
   itb::dsp::Xoshiro256 rng(5);
   const itb::dsp::CVec loud =
-      apply_impairments(clean, p, mod.config().sample_rate_hz, rng);
+      apply_impairments(clean, p, kGfskSampleRateHz, rng);
   EXPECT_NEAR(itb::dsp::mean_power(loud) / itb::dsp::mean_power(clean), 100.0, 1.0);
 }
 

@@ -316,7 +316,7 @@ TEST(DsssSync, CckRatesSurviveCfo) {
 TEST(ZigbeeSync, SurvivesStaticRotationAndCfo) {
   const zigbee::Bytes payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x42};
   const auto tx = zigbee::zigbee_transmit(payload);
-  const Real fs = zigbee::OqpskConfig{}.sample_rate_hz();
+  const Real fs = zigbee::kSampleRateHz;
   // Arbitrary static rotation plus a 40 ppm-class carrier offset.
   for (const Real cfo_hz : {0.0, 40e3, -60e3}) {
     const CVec wave = channel::apply_cfo(tx.baseband, cfo_hz, fs, 1.234);

@@ -15,9 +15,8 @@ namespace {
 // --- DCF -----------------------------------------------------------------------
 
 TEST(Dcf, BaselineThroughputInIperfRange) {
-  DcfConfig cfg;
   InterfererConfig none;
-  const DcfResult r = simulate_dcf(cfg, none, 2.0, 1);
+  const DcfResult r = simulate_dcf(none, 2.0, 1);
   // A saturated 36->54 Mbps 802.11g TCP flow lands around 18-26 Mbps.
   EXPECT_GT(r.throughput_mbps, 15.0);
   EXPECT_LT(r.throughput_mbps, 30.0);
@@ -25,60 +24,55 @@ TEST(Dcf, BaselineThroughputInIperfRange) {
 }
 
 TEST(Dcf, OffChannelInterfererIsHarmless) {
-  DcfConfig cfg;
   InterfererConfig ssb;
   ssb.packets_per_second = 1000.0;
   ssb.on_victim_channel = false;  // SSB: packets land on channel 11
   InterfererConfig none;
-  const DcfResult with = simulate_dcf(cfg, ssb, 2.0, 2);
-  const DcfResult without = simulate_dcf(cfg, none, 2.0, 2);
+  const DcfResult with = simulate_dcf(ssb, 2.0, 2);
+  const DcfResult without = simulate_dcf(none, 2.0, 2);
   EXPECT_NEAR(with.throughput_mbps, without.throughput_mbps, 0.5);
 }
 
 TEST(Dcf, OnChannelMirrorDegradesThroughput) {
-  DcfConfig cfg;
   InterfererConfig dsb;
   dsb.packets_per_second = 1000.0;
   dsb.on_victim_channel = true;  // DSB mirror copy lands on channel 6
   InterfererConfig none;
-  const DcfResult with = simulate_dcf(cfg, dsb, 2.0, 3);
-  const DcfResult without = simulate_dcf(cfg, none, 2.0, 3);
+  const DcfResult with = simulate_dcf(dsb, 2.0, 3);
+  const DcfResult without = simulate_dcf(none, 2.0, 3);
   EXPECT_LT(with.throughput_mbps, 0.75 * without.throughput_mbps);
   EXPECT_GT(with.collision_rate, 0.1);
 }
 
 TEST(Dcf, LowRateInterfererNegligible) {
   // Paper Fig. 12: at 50 pkts/s even the DSB mirror barely dents iperf.
-  DcfConfig cfg;
   InterfererConfig dsb;
   dsb.packets_per_second = 50.0;
   dsb.on_victim_channel = true;
   InterfererConfig none;
-  const DcfResult with = simulate_dcf(cfg, dsb, 2.0, 4);
-  const DcfResult without = simulate_dcf(cfg, none, 2.0, 4);
+  const DcfResult with = simulate_dcf(dsb, 2.0, 4);
+  const DcfResult without = simulate_dcf(none, 2.0, 4);
   EXPECT_GT(with.throughput_mbps, 0.85 * without.throughput_mbps);
 }
 
 TEST(Dcf, DegradationGrowsWithRate) {
-  DcfConfig cfg;
   double prev = 1e9;
   for (const double rate : {50.0, 650.0, 1000.0}) {
     InterfererConfig i;
     i.packets_per_second = rate;
     i.on_victim_channel = true;
-    const DcfResult r = simulate_dcf(cfg, i, 2.0, 5);
+    const DcfResult r = simulate_dcf(i, 2.0, 5);
     EXPECT_LT(r.throughput_mbps, prev + 0.8);
     prev = r.throughput_mbps;
   }
 }
 
 TEST(Dcf, DeterministicForSameSeed) {
-  DcfConfig cfg;
   InterfererConfig i;
   i.packets_per_second = 650.0;
   i.on_victim_channel = true;
-  const DcfResult a = simulate_dcf(cfg, i, 1.0, 42);
-  const DcfResult b = simulate_dcf(cfg, i, 1.0, 42);
+  const DcfResult a = simulate_dcf(i, 1.0, 42);
+  const DcfResult b = simulate_dcf(i, 1.0, 42);
   EXPECT_DOUBLE_EQ(a.throughput_mbps, b.throughput_mbps);
   EXPECT_EQ(a.frames_ok, b.frames_ok);
 }

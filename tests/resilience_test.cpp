@@ -110,7 +110,7 @@ NetworkConfig clean_grid_config() {
   return cfg;
 }
 
-// Geometric-retry oracle: probability that a fragment is delivered within
+// Geometric-retry oracle: probability that a message is delivered within
 // `max_attempts` independent attempts that each succeed with probability
 // `p_success`, 1 - (1-p)^n.
 double arq_delivery_probability(double p_success, std::size_t max_attempts) {
@@ -435,7 +435,6 @@ TEST(Resilience, LinkBuildPerTablesMatchOneCallClosedForms) {
     cfg.detector_sensitivity_dbm = -49.0;
     cfg.rate = c.rate;
     cfg.enable_arq = true;
-    cfg.arq.fragment_bytes = 12;
     cfg.fallback.enable_rate_fallback = c.rate_fallback;
     cfg.fallback.enable_zigbee_fallback = c.zigbee;
     cfg.ap_failover = c.failover;

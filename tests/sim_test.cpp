@@ -104,16 +104,15 @@ TEST(Topology, HospitalWardPlacesAllTagsAndRoomHelpers) {
   TopologyConfig cfg;
   cfg.kind = TopologyKind::kHospitalWard;
   cfg.num_tags = 35;
-  cfg.beds_per_room = 4;
   cfg.num_helpers = 0;  // 0 = one per room
   const Placement p = generate_topology(cfg);
   EXPECT_EQ(p.tags.size(), 35u);
-  EXPECT_EQ(p.helpers.size(), 9u);  // ceil(35/4) rooms
+  EXPECT_EQ(p.helpers.size(), 9u);  // ceil(35/kBedsPerRoom) rooms
   EXPECT_EQ(p.aps.size(), cfg.num_aps);
   // Every tag has a helper within room range (wall-mount coverage).
   for (const Vec2& tag : p.tags) {
     const std::size_t h = nearest_index(p.helpers, tag);
-    EXPECT_LT(distance_m(p.helpers[h], tag), cfg.room_pitch_m);
+    EXPECT_LT(distance_m(p.helpers[h], tag), kRoomPitchM);
   }
 }
 

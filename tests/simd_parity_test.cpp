@@ -330,9 +330,8 @@ TEST(SimdParity, CckDemodulateDispatchInvariant) {
 }
 
 TEST(SimdParity, ZigbeeSoftDespreadDispatchInvariant) {
-  itb::zigbee::OqpskConfig cfg;
-  const itb::zigbee::OqpskModulator mod(cfg);
-  const itb::zigbee::OqpskDemodulator demod(cfg);
+  const itb::zigbee::OqpskModulator mod;
+  const itb::zigbee::OqpskDemodulator demod;
   const itb::phy::Bytes payload = {0x12, 0x34, 0xAB, 0xCD, 0x5A};
   Xoshiro256 rng(splitmix64(19000));
   CVec wave = mod.modulate_bytes(payload);

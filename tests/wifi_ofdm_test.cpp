@@ -494,7 +494,6 @@ TEST(Chipset, SeedTrackingThroughReceiver) {
 TEST(AmDownlink, ConstantSymbolDataBitsScrambleToFill) {
   AmDownlinkConfig cfg;
   cfg.scrambler_seed = 0x2F;
-  cfg.constant_fill = 1;
   AmDownlinkEncoder enc(cfg, 1);
   const auto& p = ofdm_params(cfg.rate);
   const Bits data = enc.constant_symbol_data_bits(p.n_dbps * 3, p.n_dbps);

@@ -112,8 +112,7 @@ TEST(Oqpsk, OccupiedBandwidthNear2Mhz) {
   Bytes payload(64);
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.uniform_int(256));
   const auto samples = mod.modulate_bytes(payload);
-  const auto psd =
-      itb::dsp::welch_psd(samples, mod.config().sample_rate_hz());
+  const auto psd = itb::dsp::welch_psd(samples, kSampleRateHz);
   const Real obw = itb::dsp::occupied_bandwidth_hz(psd, 0.99);
   EXPECT_GT(obw, 1e6);
   EXPECT_LT(obw, 3.5e6);
@@ -156,7 +155,7 @@ TEST(Frame, CorruptedFcsDetected) {
   // result is a legal chip sequence for a *different* nibble. Only the FCS
   // can catch it. (A plain chip inversion no longer suffices: the
   // phase-robust despreader corrects it.)
-  const std::size_t spc = OqpskConfig{}.samples_per_chip;
+  const std::size_t spc = kSamplesPerChip;
   const std::size_t payload_start_chip = 6 * 2 * kChipsPerSymbol;  // after hdr
   const std::size_t a = payload_start_chip * spc;
   for (std::size_t i = a;

@@ -7,7 +7,14 @@
 # Builds the library, tests, examples and every bench (`bench_all`), plus
 # the two perfbench binaries, at -O0 with -ffunction-sections and links them
 # with --gc-sections, so each executable keeps exactly the itb:: functions
-# it can reach. "Production" is every bench, example and perfbench binary.
+# it can reach. -fkeep-inline-functions makes every library object emit the
+# inline functions its headers define (accessors, constexpr helpers), so a
+# header-inline function with no caller shows up like an out-of-line one.
+# Members the compiler writes itself (implicit X(), X(X&&) and ~X()) and
+# lambdas are not counted: a lambda is part of the function that defines
+# it, and a constant-initialised static never calls its initialiser at run
+# time.
+# "Production" is every bench, example and perfbench binary.
 # It then compares the itb:: text symbols defined in libitb.a with those
 # the executables keep and prints:
 #
@@ -32,18 +39,28 @@ JOBS=${JOBS:-3}
 export LC_ALL=C
 
 FL=(-G Ninja -DCMAKE_BUILD_TYPE=Debug
-    "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -ffunction-sections"
+    "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -ffunction-sections -fkeep-inline-functions"
     "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections" -DITB_WERROR=OFF)
 cmake -S "$ROOT" -B "$B/main" "${FL[@]}" > "$B/configure.log"
 cmake --build "$B/main" --target all bench_all -j "$JOBS" > "$B/build.log"
 cmake -S "$ROOT/perfbench" -B "$B/pb" "${FL[@]}" >> "$B/configure.log"
 cmake --build "$B/pb" -j "$JOBS" >> "$B/build.log"
 
-# Defined text symbols (strong, local or weak) in the itb namespace.
+# Defined text symbols (strong, local or weak) in the itb namespace, less
+# lambdas and the compiler-generated members: an inline (weak or local)
+# C::C(), C::C(C&&) or C::~C().
 syms() {
   nm -C --defined-only "$@" 2>/dev/null |
-    awk '$2 ~ /^[TtWw]$/ {sub(/^[^ ]+ [^ ]+ /, ""); print}' |
-    { grep '^itb::' || true; } | sort -u
+    awk '$2 ~ /^[TtWw]$/ {
+      t = $2; sub(/^[^ ]+ [^ ]+ /, "")
+      if ($0 !~ /^itb::/ || index($0, "{lambda(")) next
+      if (t != "T" && match($0, /::~?[A-Za-z_0-9]+[(]/)) {
+        cls = $0; sub(/::~?[A-Za-z_0-9]+[(].*$/, "", cls); sub(/^.*::/, "", cls)
+        if ($0 ~ ("::~?" cls "[(][)]$") ||
+            $0 ~ ("::" cls "[(].*::" cls "&&[)]$")) next
+      }
+      print
+    }' | sort -u
 }
 executables() { find "$@" -maxdepth 1 -type f -executable; }
 
