@@ -1,9 +1,10 @@
 // RunCapture: the opt-in observation bundle a caller hands to
-// Network::run(). Null pointer (the default) means zero observation work
-// beyond a branch per hook — the path every existing caller and benchmark
-// takes. Non-null turns on sim-time tracing and the metrics registry; both
-// outputs are deterministic (bit-identical at any thread count) because
-// they are collected per shard and merged in shard-index order.
+// NetworkCoordinator::run(). Null pointer (the default) means zero
+// observation work beyond a branch per hook — the path every existing
+// caller and benchmark takes. Non-null turns on sim-time tracing and the
+// metrics snapshot. Both are bit-identical at any thread count: trace
+// events are collected in per-shard rings absorbed in shard-index order,
+// and the snapshot is read off the merged NetworkStats.
 #pragma once
 
 #include <cstddef>
@@ -25,8 +26,9 @@ struct RunCapture {
   /// `itb.trace.events_dropped`).
   std::size_t trace_events_per_shard = 1 << 16;
 
-  /// Outputs, filled by run(): trace is finalized (merged + sorted), the
-  /// metrics snapshot is merged across shards.
+  /// Outputs, filled by run(): trace is finalized (merged + sorted); the
+  /// metrics snapshot is replaced by the run's counters, latency histogram
+  /// and whole-run gauges.
   TraceLog trace;
   MetricsSnapshot metrics;
 };

@@ -1,6 +1,5 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <ostream>
 #include <stdexcept>
@@ -38,94 +37,13 @@ const char* metric_kind_name(MetricKind k) {
   return "?";
 }
 
-MetricId MetricsRegistry::add(std::string name, MetricKind kind,
-                              std::vector<double> edges) {
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].name != name) continue;
-    if (specs_[i].kind != kind) {
-      throw std::invalid_argument("MetricsRegistry: `" + name +
-                                  "` re-registered with a different kind");
-    }
-    return i;
-  }
-  if (kind == MetricKind::kHistogram) {
-    if (edges.empty()) {
-      throw std::invalid_argument("MetricsRegistry: `" + name +
-                                  "` histogram needs at least one edge");
-    }
-    if (!std::is_sorted(edges.begin(), edges.end()) ||
-        std::adjacent_find(edges.begin(), edges.end()) != edges.end()) {
-      throw std::invalid_argument("MetricsRegistry: `" + name +
-                                  "` edges must be strictly increasing");
-    }
-  }
-  specs_.push_back({std::move(name), kind, std::move(edges)});
-  return specs_.size() - 1;
-}
-
-MetricId MetricsRegistry::counter(std::string name) {
-  return add(std::move(name), MetricKind::kCounter, {});
-}
-
-MetricId MetricsRegistry::histogram(std::string name,
-                                    std::vector<double> upper_edges) {
-  return add(std::move(name), MetricKind::kHistogram, std::move(upper_edges));
-}
-
-MetricCells MetricsRegistry::make_cells() const {
-  MetricCells cells;
-  cells.cells_.resize(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    if (specs_[i].kind != MetricKind::kHistogram) continue;
-    cells.cells_[i].buckets.assign(specs_[i].edges.size() + 1, 0);
-    cells.cells_[i].edges = &specs_[i].edges;
-  }
-  return cells;
-}
-
-void MetricCells::observe(MetricId id, double value) {
-  Cell& c = cells_[id];
-  ++c.count;
-  c.value += value;
-  const std::vector<double>& edges = *c.edges;
+std::size_t le_bucket(std::span<const double> upper_edges, double value) {
   // Linear scan: sim histograms have ~a dozen buckets, and the upper-edge
   // comparison (<=) matches the Prometheus `le` convention exactly.
-  std::size_t b = edges.size();  // overflow (+Inf) by default
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (value <= edges[i]) {
-      b = i;
-      break;
-    }
+  for (std::size_t i = 0; i < upper_edges.size(); ++i) {
+    if (value <= upper_edges[i]) return i;
   }
-  ++c.buckets[b];
-}
-
-MetricsSnapshot MetricsRegistry::merge(
-    const std::vector<MetricCells>& shards) const {
-  MetricsSnapshot snap;
-  snap.metrics_.reserve(specs_.size());
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    MetricValue mv;
-    mv.name = specs_[i].name;
-    mv.kind = specs_[i].kind;
-    mv.edges = specs_[i].edges;
-    if (mv.kind == MetricKind::kHistogram) {
-      mv.buckets.assign(mv.edges.size() + 1, 0);
-    }
-    // Shard order is the reduction order: deterministic because the shard
-    // list is a fixed partition, never a function of thread scheduling.
-    for (const MetricCells& shard : shards) {
-      const MetricCells::Cell& c = shard.cells_[i];
-      mv.count += c.count;
-      if (mv.kind != MetricKind::kHistogram) continue;
-      mv.value += c.value;
-      for (std::size_t b = 0; b < mv.buckets.size(); ++b) {
-        mv.buckets[b] += c.buckets[b];
-      }
-    }
-    snap.metrics_.push_back(std::move(mv));
-  }
-  return snap;
+  return upper_edges.size();
 }
 
 const MetricValue* MetricsSnapshot::find(std::string_view name) const {
@@ -158,6 +76,24 @@ void MetricsSnapshot::append_gauge(std::string name, double value) {
   mv.name = std::move(name);
   mv.kind = MetricKind::kGauge;
   mv.value = value;
+  metrics_.push_back(std::move(mv));
+}
+
+void MetricsSnapshot::append_histogram(std::string name,
+                                       std::span<const double> upper_edges,
+                                       std::span<const std::uint64_t> buckets,
+                                       std::uint64_t count, double sum) {
+  if (buckets.size() != upper_edges.size() + 1) {
+    throw std::invalid_argument("MetricsSnapshot: `" + name +
+                                "` needs one bucket per edge plus +Inf");
+  }
+  MetricValue mv;
+  mv.name = std::move(name);
+  mv.kind = MetricKind::kHistogram;
+  mv.count = count;
+  mv.value = sum;
+  mv.edges.assign(upper_edges.begin(), upper_edges.end());
+  mv.buckets.assign(buckets.begin(), buckets.end());
   metrics_.push_back(std::move(mv));
 }
 

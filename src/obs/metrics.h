@@ -1,20 +1,11 @@
-// Deterministic metrics registry: typed counters and fixed-bucket
-// histograms registered by name, accumulated in per-shard cell blocks with
-// no atomics, and merged in shard-index order at join — so a metrics
-// snapshot is bit-identical at any thread count (DESIGN.md "Observability
-// and the determinism contract"). Gauges are not accumulated per shard:
-// they are whole-run values appended to the snapshot after the merge
-// (MetricsSnapshot::append_gauge).
-//
-// Three pieces:
-//   MetricsRegistry  — the schema: names, kinds, histogram bucket edges.
-//                      Built once (single-threaded) before the fan-out;
-//                      registration order fixes metric ids.
-//   MetricCells      — one shard's plain-value accumulation block, laid out
-//                      by the schema. Cheap to create per shard, written by
-//                      exactly one thread, no synchronization.
-//   MetricsSnapshot  — the ordered merge of all shards' cells: JSON and
-//                      Prometheus-text writers, name lookup, FNV digest.
+// Metrics snapshot: an ordered list of named counters, gauges and
+// fixed-bucket histograms with JSON and Prometheus-text writers, name
+// lookup and an FNV digest. It holds no accumulation state of its own: the
+// caller builds it after its own reduction by appending whole-run values,
+// so the snapshot is exactly as deterministic as the values it is given
+// (DESIGN.md "Observability and the determinism contract"). The network
+// simulator appends its poll counters and latency histogram from the
+// merged NetworkStats.
 //
 // Histogram bucket semantics match Prometheus: bucket i counts samples with
 // value <= upper_edges[i] (non-cumulative storage; the text writer emits
@@ -23,6 +14,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,58 +24,9 @@ namespace itb::obs {
 enum class MetricKind : std::uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 const char* metric_kind_name(MetricKind k);
 
-using MetricId = std::size_t;
-
-class MetricCells;
-class MetricsSnapshot;
-
-class MetricsRegistry {
- public:
-  /// Registers (or re-finds, idempotently by name) a metric. Histogram
-  /// edges must be strictly increasing; an implicit +Inf bucket is added.
-  /// Registering an existing name with a different kind throws
-  /// std::invalid_argument.
-  MetricId counter(std::string name);
-  MetricId histogram(std::string name, std::vector<double> upper_edges);
-
-  /// A zeroed accumulation block laid out for this schema.
-  MetricCells make_cells() const;
-
-  /// Sequential, index-ordered reduction over shard cell blocks: counters
-  /// and histograms sum. The result is independent of how the shards were
-  /// scheduled onto threads.
-  MetricsSnapshot merge(const std::vector<MetricCells>& shards) const;
-
- private:
-  struct Spec {
-    std::string name;
-    MetricKind kind = MetricKind::kCounter;
-    std::vector<double> edges;  ///< histogram upper edges (ascending)
-  };
-  MetricId add(std::string name, MetricKind kind, std::vector<double> edges);
-
-  std::vector<Spec> specs_;
-};
-
-/// One shard's metric values. Write-only during the parallel phase; the
-/// registry turns a vector of these into a MetricsSnapshot at join.
-class MetricCells {
- public:
-  /// Counter increment.
-  void add(MetricId id, std::uint64_t delta = 1) { cells_[id].count += delta; }
-  /// Histogram observation.
-  void observe(MetricId id, double value);
-
- private:
-  friend class MetricsRegistry;
-  struct Cell {
-    std::uint64_t count = 0;  ///< counter value / histogram sample count
-    double value = 0.0;       ///< histogram sample sum
-    std::vector<std::uint64_t> buckets;  ///< per-bucket counts + overflow
-    const std::vector<double>* edges = nullptr;  ///< borrowed from the schema
-  };
-  std::vector<Cell> cells_;
-};
+/// Index of the `le` bucket holding `value`: the first i with
+/// value <= upper_edges[i], or upper_edges.size() (the +Inf bucket).
+std::size_t le_bucket(std::span<const double> upper_edges, double value);
 
 struct MetricValue {
   std::string name;
@@ -101,9 +44,14 @@ class MetricsSnapshot {
   std::uint64_t counter_value(std::string_view name) const;
   double gauge_value(std::string_view name) const;
 
-  /// Post-merge extras (e.g. ProfZone call counts promoted to counters).
   void append_counter(std::string name, std::uint64_t value);
   void append_gauge(std::string name, double value);
+  /// `buckets` are non-cumulative per-`le` counts, one per edge plus the
+  /// +Inf overflow (std::invalid_argument otherwise); `count` and `sum`
+  /// describe the same samples.
+  void append_histogram(std::string name, std::span<const double> upper_edges,
+                        std::span<const std::uint64_t> buckets,
+                        std::uint64_t count, double sum);
 
   /// `{"metrics": [{"name": ..., "kind": ..., ...}]}`; field order and
   /// float formatting are fixed, so equal snapshots serialize to equal
@@ -117,7 +65,6 @@ class MetricsSnapshot {
   std::uint64_t digest() const;
 
  private:
-  friend class MetricsRegistry;
   std::vector<MetricValue> metrics_;
 };
 

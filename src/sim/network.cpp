@@ -43,13 +43,25 @@ struct Shard {
   std::size_t end = 0;
 };
 
-/// Reduction block: the poll counters plus the six double sums the fleet
-/// means need. Each shard folds its tags into one of these in slot order,
-/// and the blocks merge in shard-index order: one summation order, so the
-/// fleet totals are thread-count invariant and the same with or without
-/// keep_per_tag, and memory stays O(shards + threads * shard_tags) when no
-/// per-tag array is kept.
+/// Upper edges (us) of the exported `itb.sim.poll_latency_us` histogram:
+/// one `le` bucket per decade, plus +Inf.
+constexpr std::array<double, 7> kPollLatencyEdgesUs = {1e2, 1e3, 1e4, 1e5,
+                                                       1e6, 1e7, 1e8};
+
+/// Reduction block: everything one shard contributes to NetworkStats — the
+/// poll counters, the latency, recovery and retry histograms, and the six
+/// double sums the fleet means need — plus the per-`le` latency counts of
+/// the metrics snapshot (kept only with a RunCapture attached). Each shard
+/// folds its tags into one of these in slot order, and the blocks merge in
+/// shard-index order: one summation order, so the fleet totals are
+/// thread-count invariant and the same with or without keep_per_tag, and
+/// memory stays O(shards + threads * shard_tags) when no per-tag array is
+/// kept.
 struct ShardAgg : PollCounters {
+  LatencyHistogram query_latency;
+  LatencyHistogram recovery_time;
+  RetryHistogram retry_histogram;
+  std::array<std::uint64_t, kPollLatencyEdgesUs.size() + 1> latency_le{};
   double payload_bits = 0.0;
   double tx_energy_nj = 0.0;
   double sum_tag_goodput = 0.0;
@@ -59,6 +71,12 @@ struct ShardAgg : PollCounters {
 
   void merge(const ShardAgg& o) {
     *this += o;
+    query_latency.merge(o.query_latency);
+    recovery_time.merge(o.recovery_time);
+    retry_histogram.merge(o.retry_histogram);
+    for (std::size_t b = 0; b < latency_le.size(); ++b) {
+      latency_le[b] += o.latency_le[b];
+    }
     payload_bits += o.payload_bits;
     tx_energy_nj += o.tx_energy_nj;
     sum_tag_goodput += o.sum_tag_goodput;
@@ -423,37 +441,18 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   // it; the fleet totals always come from the ShardAgg blocks.
   std::vector<TagStats> tag_stats(cfg_.keep_per_tag ? n : 0);
   std::vector<ShardAgg> shard_agg(shards.size());
-  std::vector<LatencyHistogram> shard_latency(shards.size());
-  std::vector<LatencyHistogram> shard_recovery(shards.size());
-  std::vector<RetryHistogram> shard_retries(shards.size());
 
-  // Observation state: the registry is the schema (built single-threaded,
-  // before the fan-out), each shard gets its own cell block and trace ring,
-  // and everything merges in shard-index order after the join — the same
-  // reduction discipline the stats follow, so the snapshot/trace inherit
-  // the digest contract. Null capture skips all of it.
-  obs::MetricsRegistry registry;
-  std::array<obs::MetricId, kPollCounters.size()> counter_ids{};
-  obs::MetricId latency_id = 0;
-  std::vector<obs::MetricCells> shard_cells;
+  // Trace rings: one per shard, absorbed in shard-index order after the
+  // join — the same reduction discipline the stats follow, so the trace
+  // inherits the digest contract. The metrics snapshot needs no per-shard
+  // state beyond ShardAgg::latency_le: it is read off the merged stats.
+  // Null capture skips all of it.
+  const bool count_latency_le = capture != nullptr;
   std::vector<obs::TraceBuffer> shard_tbuf;
-  if (capture != nullptr) {
-    for (std::size_t c = 0; c < kPollCounters.size(); ++c) {
-      if (kPollCounters[c].metric != nullptr) {
-        counter_ids[c] = registry.counter(kPollCounters[c].metric);
-      }
-    }
-    latency_id = registry.histogram("itb.sim.poll_latency_us",
-                                    {1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8});
-    shard_cells.reserve(shards.size());
+  if (capture != nullptr && capture->collect_trace) {
+    shard_tbuf.reserve(shards.size());
     for (std::size_t si = 0; si < shards.size(); ++si) {
-      shard_cells.push_back(registry.make_cells());
-    }
-    if (capture->collect_trace) {
-      shard_tbuf.reserve(shards.size());
-      for (std::size_t si = 0; si < shards.size(); ++si) {
-        shard_tbuf.emplace_back(capture->trace_events_per_shard);
-      }
+      shard_tbuf.emplace_back(capture->trace_events_per_shard);
     }
   }
 
@@ -468,11 +467,7 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             oc.data_slots_per_event > 0.0
                 ? oc.control_overhead_us / oc.data_slots_per_event
                 : 0.0;
-        LatencyHistogram& latency = shard_latency[si];
-        LatencyHistogram& recovery = shard_recovery[si];
-        RetryHistogram& retries = shard_retries[si];
-        obs::MetricCells* const cells =
-            capture != nullptr ? &shard_cells[si] : nullptr;
+        ShardAgg& agg = shard_agg[si];
         obs::TraceBuffer* const tbuf =
             capture != nullptr && capture->collect_trace ? &shard_tbuf[si]
                                                          : nullptr;
@@ -564,11 +559,11 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
           if (delivered) {
             st.fail_streak = 0;
             if (st.disrupted) {
-              recovery.record(t_us - st.disrupted_since_us);
+              agg.recovery_time.record(t_us - st.disrupted_since_us);
               st.disrupted = false;
             }
             ++ts.messages_delivered;
-            retries.record(st.attempts);
+            agg.retry_histogram.record(st.attempts);
             st.in_flight = false;
             return;
           }
@@ -758,9 +753,10 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
             record_trace(t_reply_us, tag, round, PollOutcome::kDelivered, wf,
                          serving_ap, retx);
             const double done_us = t_reply_us + attempt_airtime_us[wi];
-            latency.record(done_us - pending_since[shard_slot]);
-            if (cells != nullptr) {
-              cells->observe(latency_id, done_us - pending_since[shard_slot]);
+            const double latency_us = done_us - pending_since[shard_slot];
+            agg.query_latency.record(latency_us);
+            if (count_latency_le) {
+              ++agg.latency_le[obs::le_bucket(kPollLatencyEdgesUs, latency_us)];
             }
             pending_since[shard_slot] =
                 static_cast<double>(round + 1) * round_us[g];
@@ -774,7 +770,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
         // terms at the group's timeline length and SSB shift), and copied
         // into the tag-indexed array with keep_per_tag.
         const double elapsed = channels_[g].elapsed_us;
-        ShardAgg& agg = shard_agg[si];
         for (std::size_t s = sh.begin; s < sh.end; ++s) {
           const std::uint32_t tag = group_tags_[g][s];
           TagStats& ts = local[s - sh.begin];
@@ -796,15 +791,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
               elapsed / (cfg_.polling.advertising_interval_ms * 1e3);
           ts.harvest_us = adv_events * 3.0 * mac::kAdvPacketUs +
                           static_cast<double>(ts.queries_sent) * query_us;
-          // Metrics flush: counters derive from the TagStats this shard
-          // just finished writing, so the hot loop pays nothing for them.
-          if (cells != nullptr) {
-            for (std::size_t c = 0; c < kPollCounters.size(); ++c) {
-              if (kPollCounters[c].metric != nullptr) {
-                cells->add(counter_ids[c], ts.*kPollCounters[c].field);
-              }
-            }
-          }
           agg += ts;
           agg.payload_bits += ts.payload_bits;
           agg.tx_energy_nj += ts.tx_energy_nj;
@@ -829,9 +815,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   out.num_tags = n;
   out.num_channels = num_groups;
   out.channels = channels_;  // plan-time fields; replies/collisions are 0
-  for (const LatencyHistogram& h : shard_latency) out.query_latency.merge(h);
-  for (const LatencyHistogram& h : shard_recovery) out.recovery_time.merge(h);
-  for (const RetryHistogram& h : shard_retries) out.retry_histogram.merge(h);
   for (std::size_t g = 0; g < num_groups; ++g) {
     out.elapsed_us = std::max(out.elapsed_us, channels_[g].elapsed_us);
   }
@@ -843,6 +826,9 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
     ch.collisions += shard_agg[si].collisions;
   }
   static_cast<PollCounters&>(out) = total;
+  out.query_latency = total.query_latency;
+  out.recovery_time = total.recovery_time;
+  out.retry_histogram = total.retry_histogram;
   out.aggregate_goodput_kbps =
       mac::safe_goodput_kbps(total.payload_bits, out.elapsed_us);
   const std::uint64_t completed = out.messages_delivered + out.messages_dropped;
@@ -900,7 +886,18 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
       for (const obs::TraceBuffer& b : shard_tbuf) capture->trace.absorb(b);
       capture->trace.finalize();
     }
-    capture->metrics = registry.merge(shard_cells);
+    // The snapshot is a view of the merged stats: the counters in
+    // kPollCounters order, then the latency histogram, whose count and sum
+    // are the stats' own.
+    capture->metrics = obs::MetricsSnapshot{};
+    for (const PollCounterRow& row : kPollCounters) {
+      if (row.metric != nullptr) {
+        capture->metrics.append_counter(row.metric, out.*row.field);
+      }
+    }
+    capture->metrics.append_histogram(
+        "itb.sim.poll_latency_us", kPollLatencyEdgesUs, total.latency_le,
+        out.query_latency.total, out.query_latency.sum_us);
     capture->metrics.append_counter("itb.trace.events_dropped",
                                     capture->trace.dropped());
     capture->metrics.append_gauge("itb.sim.elapsed_us", out.elapsed_us);

@@ -1,5 +1,6 @@
 #include "zigbee/oqpsk.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -104,17 +105,26 @@ CVec OqpskModulator::modulate_bytes(const Bytes& bytes) const {
 CVec OqpskDemodulator::soft_chips(const CVec& samples,
                                   std::size_t offset_samples) const {
   constexpr std::size_t spc = kSamplesPerChip;
+  // Matched filter: each branch chip spans 2*spc samples of half-sine, so
+  // integrating it against the pulse (normalized by the pulse energy, spc)
+  // keeps all of the chip's energy where one peak sample kept a quarter.
+  // A noiseless on-channel chip still reads +-1 on its own axis (the other
+  // branch's overlapping half-sines add a smaller term on the orthogonal
+  // one), and the carrier's rotation carries through unchanged for the
+  // noncoherent detector.
+  static const itb::dsp::RVec pulse = itb::dsp::half_sine_pulse(2 * spc);
   CVec chips;
-  // Sample each branch at its pulse peak: I chips peak at start + spc,
-  // Q chips at start + 2*spc (centre of the half-sine). At a branch peak the
-  // other branch's half-sine crosses zero, so the full complex sample is the
-  // chip value rotated by whatever the carrier did.
   for (std::size_t k = 0;; ++k) {
     const bool is_q = (k % 2) == 1;
-    const std::size_t centre =
-        offset_samples + (k / 2) * 2 * spc + (is_q ? spc : 0) + spc;
-    if (centre >= samples.size()) break;
-    chips.push_back(samples[centre]);
+    const std::size_t start =
+        offset_samples + (k / 2) * 2 * spc + (is_q ? spc : 0);
+    // A chip counts once its pulse peak is in the buffer; its tail may be
+    // cut off by the end of the capture.
+    if (start + spc >= samples.size()) break;
+    const std::size_t len = std::min(pulse.size(), samples.size() - start);
+    Complex acc{0.0, 0.0};
+    for (std::size_t s = 0; s < len; ++s) acc += pulse[s] * samples[start + s];
+    chips.push_back(acc / static_cast<Real>(spc));
   }
   return chips;
 }

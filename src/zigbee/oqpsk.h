@@ -55,9 +55,9 @@ class OqpskModulator {
 /// samples against the 16 PN sequences.
 class OqpskDemodulator {
  public:
-  /// Complex chip samples at the branch pulse peaks (I chips on the real
-  /// axis, Q chips on the imaginary axis when on-channel); `offset_samples`
-  /// points at the first sample of chip 0. A carrier phase or frequency
+  /// Complex soft chips, each its branch's half-sine matched-filter output
+  /// (I chips on the real axis, Q chips on the imaginary axis when
+  /// on-channel); `offset_samples` points at the first sample of chip 0. A carrier phase or frequency
   /// offset rotates these samples instead of destroying them, which is what
   /// the noncoherent detector below exploits.
   CVec soft_chips(const CVec& samples, std::size_t offset_samples = 0) const;

@@ -1,12 +1,15 @@
-// Observability-layer suite (ctest -L obs): the metrics registry and trace
+// Observability-layer suite (ctest -L obs): the metrics snapshot and trace
 // log must be bit-identical at any thread count and byte-identical across
-// repeat exports, the trace JSON must actually parse, histogram bucket
-// edges must follow the Prometheus `le` convention, and ProfZone must
+// repeat exports, the snapshot must agree with the NetworkStats it is read
+// from, the trace JSON must actually parse, histogram bucket edges must
+// follow the Prometheus `le` convention, and ProfZone must
 // account self vs child time. The obs trace is the simulator's only
 // per-poll record, so it must also carry every poll each tag's counters
 // count, and its bounded per-shard rings must keep each shard's newest
 // events at any thread count.
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <limits>
@@ -236,34 +239,26 @@ std::string trace_json(const obs::TraceLog& log) {
 }
 
 // --------------------------------------------------------------------------
-// Metrics registry
+// Metrics snapshot
 // --------------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, RegistrationIsIdempotentAndTypeChecked) {
-  obs::MetricsRegistry reg;
-  const obs::MetricId a = reg.counter("itb.test.a");
-  EXPECT_EQ(reg.counter("itb.test.a"), a);
-  EXPECT_NE(reg.counter("itb.test.b"), a);
-  EXPECT_THROW(reg.histogram("itb.test.a", {1.0}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("itb.test.h", {}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("itb.test.h", {2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(reg.histogram("itb.test.h", {1.0, 1.0}), std::invalid_argument);
-}
-
-TEST(MetricsRegistryTest, HistogramBucketEdgesFollowLeConvention) {
-  obs::MetricsRegistry reg;
-  const obs::MetricId h = reg.histogram("itb.test.h", {1.0, 2.0, 5.0});
-  obs::MetricCells cells = reg.make_cells();
+TEST(MetricsSnapshotTest, HistogramBucketEdgesFollowLeConvention) {
+  const std::array<double, 3> edges = {1.0, 2.0, 5.0};
   // Bucket i counts v <= edge[i] (first matching bucket), overflow past the
   // last edge — the Prometheus `le` convention, non-cumulative storage.
-  cells.observe(h, 0.5);   // bucket 0
-  cells.observe(h, 1.0);   // bucket 0 (inclusive upper edge)
-  cells.observe(h, 1.5);   // bucket 1
-  cells.observe(h, 5.0);   // bucket 2
-  cells.observe(h, 7.0);   // overflow
-  const obs::MetricsSnapshot snap = reg.merge({cells});
+  std::array<std::uint64_t, 4> buckets{};
+  double sum = 0.0;
+  for (const double v : {0.5, 1.0, 1.5, 5.0, 7.0}) {
+    ++buckets[obs::le_bucket(edges, v)];
+    sum += v;
+  }
+  EXPECT_EQ(obs::le_bucket(edges, 1.0), 0u);  // inclusive upper edge
+  EXPECT_EQ(obs::le_bucket(edges, 7.0), 3u);  // +Inf
+  obs::MetricsSnapshot snap;
+  snap.append_histogram("itb.test.h", edges, buckets, 5, sum);
   const obs::MetricValue* m = snap.find("itb.test.h");
   ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->kind, obs::MetricKind::kHistogram);
   EXPECT_EQ(m->count, 5u);
   EXPECT_DOUBLE_EQ(m->value, 0.5 + 1.0 + 1.5 + 5.0 + 7.0);
   ASSERT_EQ(m->buckets.size(), 4u);
@@ -279,19 +274,12 @@ TEST(MetricsRegistryTest, HistogramBucketEdgesFollowLeConvention) {
   EXPECT_NE(prom.find("itb_test_h_bucket{le=\"5\"} 4"), std::string::npos);
   EXPECT_NE(prom.find("itb_test_h_bucket{le=\"+Inf\"} 5"), std::string::npos);
   EXPECT_NE(prom.find("itb_test_h_count 5"), std::string::npos);
-}
 
-TEST(MetricsRegistryTest, MergeSumsCountersAcrossShards) {
-  obs::MetricsRegistry reg;
-  const obs::MetricId c = reg.counter("itb.test.c");
-  obs::MetricCells s0 = reg.make_cells();
-  obs::MetricCells s1 = reg.make_cells();
-  obs::MetricCells s2 = reg.make_cells();
-  s0.add(c, 3);
-  s2.add(c, 4);
-  // s1 never touches the counter and contributes zero.
-  const obs::MetricsSnapshot snap = reg.merge({s0, s1, s2});
-  EXPECT_EQ(snap.counter_value("itb.test.c"), 7u);
+  // Buckets that do not match the edges (one per edge plus +Inf) throw.
+  const std::array<std::uint64_t, 3> short_buckets{};
+  EXPECT_THROW(snap.append_histogram("itb.test.bad", edges, short_buckets, 0,
+                                     0.0),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------------------------
@@ -385,19 +373,29 @@ TEST(NetworkCaptureTest, SnapshotAndTraceAreThreadCountInvariant) {
     prom_exports.push_back(metrics_prom(capture.metrics));
     trace_exports.push_back(trace_json(capture.trace));
 
-    // The snapshot agrees with the stats it observed.
-    EXPECT_EQ(capture.metrics.counter_value("itb.sim.polls_total"),
-              s.queries_sent);
-    EXPECT_EQ(capture.metrics.counter_value("itb.sim.replies_total"),
-              s.replies_received);
-    EXPECT_EQ(capture.metrics.counter_value("itb.arq.retries"),
-              s.retransmissions);
-    EXPECT_EQ(capture.metrics.counter_value("itb.faults.outage_skips"),
-              s.outage_skips);
+    // The snapshot agrees with the stats it observed: every exported row
+    // of the counter table, and the latency histogram's count and sum bit
+    // for bit.
+    std::size_t exported = 0;
+    for (const sim::PollCounterRow& row : sim::kPollCounters) {
+      if (row.metric == nullptr) continue;
+      ++exported;
+      const obs::MetricValue* m = capture.metrics.find(row.metric);
+      ASSERT_NE(m, nullptr) << row.metric;
+      EXPECT_EQ(m->kind, obs::MetricKind::kCounter) << row.metric;
+      EXPECT_EQ(m->count, s.*row.field) << row.metric;
+    }
+    EXPECT_EQ(exported, 16u);
     const obs::MetricValue* lat =
         capture.metrics.find("itb.sim.poll_latency_us");
     ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count, s.query_latency.total);
     EXPECT_EQ(lat->count, s.replies_received);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(lat->value),
+              std::bit_cast<std::uint64_t>(s.query_latency.sum_us));
+    std::uint64_t bucketed = 0;
+    for (const std::uint64_t b : lat->buckets) bucketed += b;
+    EXPECT_EQ(bucketed, lat->count);
     // Whole-run gauges are appended after the shard merge.
     EXPECT_EQ(capture.metrics.gauge_value("itb.sim.delivery_ratio"),
               s.delivery_ratio);

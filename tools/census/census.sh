@@ -48,12 +48,22 @@ cmake --build "$B/pb" -j "$JOBS" >> "$B/build.log"
 
 # Defined text symbols (strong, local or weak) in the itb namespace, less
 # lambdas and the compiler-generated members: an inline (weak or local)
-# C::C(), C::C(C&&) or C::~C().
+# C::C(), C::C(C&&) or C::~C(). A function is in the namespace when its own
+# mangled name is (`_ZN3itb...`, or `_ZNK3itb...` and the other qualified
+# member forms), so a std:: template instantiated on an itb:: type (say
+# std::forward<itb::...>) is not counted and an itb:: template with a
+# non-itb:: return type (void itb::core::parallel_for<...>) is; names are
+# demangled only after that choice. A lambda defined in a function is a
+# local entity (`_ZZ...`) and fails the prefix; one at namespace scope is
+# dropped by its closure members (`{lambda(...)#N}::operator()`, `_FUN`),
+# while a template instantiated on a lambda type stays.
 syms() {
-  nm -C --defined-only "$@" 2>/dev/null |
-    awk '$2 ~ /^[TtWw]$/ {
-      t = $2; sub(/^[^ ]+ [^ ]+ /, "")
-      if ($0 !~ /^itb::/ || index($0, "{lambda(")) next
+  nm --defined-only "$@" 2>/dev/null |
+    awk '$2 ~ /^[TtWw]$/ && $3 ~ /^_ZN[KVRO]*3itb/ { print $2, $3 }' |
+    c++filt |
+    awk '{
+      t = $1; sub(/^[^ ]+ /, "")
+      if ($0 ~ /[}]::(operator|_FUN)/) next
       if (t != "T" && match($0, /::~?[A-Za-z_0-9]+[(]/)) {
         cls = $0; sub(/::~?[A-Za-z_0-9]+[(].*$/, "", cls); sub(/^.*::/, "", cls)
         if ($0 ~ ("::~?" cls "[(][)]$") ||
