@@ -99,7 +99,7 @@ void BM_CorrelateDirect1kPattern(benchmark::State& state) {
   for (auto& v : x) v = rng.complex_gaussian(1.0);
   for (auto& v : p) v = rng.complex_gaussian(1.0);
   for (auto _ : state) {
-    auto c = dsp::cross_correlate_direct(x, p);
+    auto c = dsp::cross_correlate(x, p);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -107,47 +107,19 @@ void BM_CorrelateDirect1kPattern(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrelateDirect1kPattern);
 
-void BM_CorrelateFft1kPattern(benchmark::State& state) {
-  dsp::Xoshiro256 rng(7);
-  dsp::CVec x(16384), p(1024);
-  for (auto& v : x) v = rng.complex_gaussian(1.0);
-  for (auto& v : p) v = rng.complex_gaussian(1.0);
-  for (auto _ : state) {
-    auto c = dsp::cross_correlate_fft(x, p);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.size()));
-}
-BENCHMARK(BM_CorrelateFft1kPattern);
-
 void BM_ConvolveDirect129Taps(benchmark::State& state) {
   dsp::Xoshiro256 rng(8);
   dsp::CVec x(8192);
   for (auto& v : x) v = rng.complex_gaussian(1.0);
   const dsp::RVec taps = dsp::design_lowpass(129, 0.2);
   for (auto _ : state) {
-    auto y = dsp::convolve_direct(x, taps);
+    auto y = dsp::convolve(x, taps);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(x.size()));
 }
 BENCHMARK(BM_ConvolveDirect129Taps);
-
-void BM_ConvolveOverlapSave129Taps(benchmark::State& state) {
-  dsp::Xoshiro256 rng(8);
-  dsp::CVec x(8192);
-  for (auto& v : x) v = rng.complex_gaussian(1.0);
-  const dsp::RVec taps = dsp::design_lowpass(129, 0.2);
-  for (auto _ : state) {
-    auto y = dsp::convolve_fft(x, taps);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(x.size()));
-}
-BENCHMARK(BM_ConvolveOverlapSave129Taps);
 
 void BM_PerVsSnrSweep(benchmark::State& state) {
   core::MonteCarloConfig cfg;

@@ -17,6 +17,25 @@ constexpr Real kBleAntennaGainDbi = 2.0;
 /// measured from the simulated waveform (see backscatter tests).
 constexpr Real kBackscatterConversionLossDb = 6.2;
 
+/// The channel SNR is in 22 MHz; Eb/N0 = SNR * BW / bitrate. Each rate's
+/// log10(BW / bitrate) is written out as glibc's run-time log10 of it: GCC
+/// folds log10(11) at -O1 to the correctly rounded value, one ulp above
+/// glibc's, and a literal makes every -O level draw the same PER.
+Real log10_bandwidth_over_bitrate(itb::wifi::DsssRate rate) {
+  using itb::wifi::DsssRate;
+  switch (rate) {
+    case DsssRate::k1Mbps:
+      return 0x1.57a903478a3eep+0;  // log10(22)
+    case DsssRate::k2Mbps:
+      return 0x1.0a98b6050c56ep+0;  // log10(11)
+    case DsssRate::k5_5Mbps:
+      return 0x1.34413509f79ffp-1;  // log10(4)
+    case DsssRate::k11Mbps:
+      return 0x1.34413509f79ffp-2;  // log10(2)
+  }
+  return 0.0;
+}
+
 }  // namespace
 
 LinkSample backscatter_rssi(const BackscatterLinkConfig& cfg,
@@ -85,16 +104,14 @@ Real per_80211b(itb::wifi::DsssRate rate, Real snr_db, std::size_t psdu_bytes) {
   return at.per(at.payload_ber(rate), psdu_bytes);
 }
 
-// The channel SNR is in 22 MHz; Eb/N0 = SNR * BW / bitrate.
-constexpr Real kDsssBandwidthHz = 22e6;
-
 DsssPerAtSnr::DsssPerAtSnr(Real snr_db)
     // NaN SNR (garbage budget input) and the link-down sentinel are both
     // certain loss, not NaN PER.
     : snr_db_(snr_db), dead_(std::isnan(snr_db) || snr_db <= kLinkDownDb) {
   if (dead_) return;
   // Preamble+header at 1 Mbps DBPSK, then payload at the data rate.
-  const Real hdr_ebn0_db = snr_db + 10.0 * std::log10(kDsssBandwidthHz / 1e6);
+  const Real hdr_ebn0_db =
+      snr_db + 10.0 * log10_bandwidth_over_bitrate(itb::wifi::DsssRate::k1Mbps);
   const Real hdr_ber = std::min(ber_dbpsk(hdr_ebn0_db), 0.5);
   const double hdr_bits = 48.0;  // header; SFD detection is more robust
   header_ok_ = std::pow(1.0 - hdr_ber, hdr_bits);
@@ -109,9 +126,8 @@ Real DsssPerAtSnr::payload_ber(itb::wifi::DsssRate rate) const {
   // how far this closed form sits left of the waveform-level Monte Carlo
   // at PER 0.5 and 0.1 (about 1-2 dB optimistic at 2 and 11 Mbps).
   constexpr Real kImplementationLossDb = 3.0;
-  const Real bitrate = rate_mbps(rate) * 1e6;
   const Real ebn0_db = snr_db_ - kImplementationLossDb +
-                       10.0 * std::log10(kDsssBandwidthHz / bitrate);
+                       10.0 * log10_bandwidth_over_bitrate(rate);
 
   Real ber = 0.0;
   switch (rate) {

@@ -1,20 +1,14 @@
 #include "dsp/correlate.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-
 #include <vector>
 
-#include "dsp/fir.h"
-#include "dsp/ola.h"
 #include "dsp/simd/kernels.h"
-#include "obs/prof.h"
 
 namespace itb::dsp {
 
-CVec cross_correlate_direct(std::span<const Complex> x,
-                            std::span<const Complex> pattern) {
+CVec cross_correlate(std::span<const Complex> x, std::span<const Complex> pattern) {
   if (x.size() < pattern.size() || pattern.empty()) return {};
   CVec out(x.size() - pattern.size() + 1);
   // Purely real patterns (Barker, chip sequences) halve the multiply count:
@@ -51,34 +45,6 @@ CVec cross_correlate_direct(std::span<const Complex> x,
     out[i] = Complex(ar, ai);
   }
   return out;
-}
-
-CVec cross_correlate_fft(std::span<const Complex> x,
-                         std::span<const Complex> pattern) {
-  static const std::size_t kZone = obs::prof_zone("phy.correlate_fft");
-  const obs::ProfZone prof(kZone);
-  if (x.size() < pattern.size() || pattern.empty()) return {};
-  const std::size_t np = pattern.size();
-  // corr[i] = sum_k x[i+k] conj(p[k]) is the full linear convolution of x
-  // with the conjugate-reversed pattern, restricted to its "valid" region
-  // [np-1, np-1 + (nx-np+1)).
-  CVec kernel(np);
-  for (std::size_t k = 0; k < np; ++k) kernel[k] = std::conj(pattern[np - 1 - k]);
-  const CVec full = overlap_save_convolve(x, kernel);
-  return CVec(full.begin() + static_cast<std::ptrdiff_t>(np - 1),
-              full.begin() + static_cast<std::ptrdiff_t>(np - 1 + x.size() - np + 1));
-}
-
-bool correlate_prefers_fft(std::size_t signal_len, std::size_t pattern_len) {
-  // Correlation is convolution with the conjugate-reversed pattern, so the
-  // crossover economics are identical; keep one source of truth.
-  return convolve_prefers_fft(signal_len, pattern_len);
-}
-
-CVec cross_correlate(std::span<const Complex> x, std::span<const Complex> pattern) {
-  return correlate_prefers_fft(x.size(), pattern.size())
-             ? cross_correlate_fft(x, pattern)
-             : cross_correlate_direct(x, pattern);
 }
 
 std::size_t peak_lag(std::span<const Complex> corr) {

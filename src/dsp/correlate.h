@@ -1,9 +1,9 @@
 // Cross-correlation primitives used for packet synchronization (802.11b SFD,
 // Barker despreading, ZigBee chip matching).
 //
-// Like dsp/fir.h, correlation has a direct path and an FFT overlap-save
-// path (correlation is convolution with the conjugate-reversed pattern);
-// cross_correlate() picks automatically, long preamble patterns go spectral.
+// Like dsp/fir.h, correlation is the direct O(N*K) form: the patterns the
+// receivers search for are short (the 11-chip Barker code, the 64-sample
+// OFDM LTF).
 #pragma once
 
 #include <span>
@@ -14,19 +14,8 @@ namespace itb::dsp {
 
 /// Sliding cross-correlation of x against pattern (conjugated): output[i] =
 /// sum_k x[i+k] * conj(pattern[k]) for i in [0, x.size()-pattern.size()].
-/// Auto-dispatches between the direct and spectral paths.
+/// A purely real pattern runs through the SIMD kernel table.
 CVec cross_correlate(std::span<const Complex> x, std::span<const Complex> pattern);
-
-/// Direct O(N*K) sliding correlation.
-CVec cross_correlate_direct(std::span<const Complex> x,
-                            std::span<const Complex> pattern);
-
-/// FFT overlap-save correlation (always spectral).
-CVec cross_correlate_fft(std::span<const Complex> x,
-                         std::span<const Complex> pattern);
-
-/// True when the auto path would go spectral for these sizes.
-bool correlate_prefers_fft(std::size_t signal_len, std::size_t pattern_len);
 
 /// Index of the maximum-magnitude correlation lag.
 std::size_t peak_lag(std::span<const Complex> corr);

@@ -26,14 +26,14 @@ void fft_inplace(std::span<Complex> x) {
 }
 
 CVec fft(std::span<const Complex> x) {
-  if (!is_power_of_two(x.size())) return dft(x);
+  require_power_of_two(x.size(), "fft");
   CVec out(x.begin(), x.end());
   fft_plan(out.size()).forward(out);
   return out;
 }
 
 CVec ifft(std::span<const Complex> x) {
-  if (!is_power_of_two(x.size())) return idft(x);
+  require_power_of_two(x.size(), "ifft");
   CVec out(x.begin(), x.end());
   fft_plan(out.size()).inverse(out);
   return out;
@@ -69,12 +69,6 @@ CVec idft(std::span<const Complex> x) {
     out[k] = acc * inv_n;
   }
   return out;
-}
-
-std::size_t next_power_of_two(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
 }
 
 RVec fftshift(std::span<const Real> x) {

@@ -1,6 +1,5 @@
 // FFT/IFFT front end over the cached-plan engine (dsp/fft_plan.h), plus a
-// reference DFT used to validate it in tests and to serve non-power-of-two
-// sizes exactly.
+// reference DFT used to validate it in tests.
 #pragma once
 
 #include <span>
@@ -15,12 +14,13 @@ namespace itb::dsp {
 /// release builds is how spur measurements go wrong.
 void fft_inplace(std::span<Complex> x);
 
-/// Out-of-place transforms for any size: power-of-two inputs run through the
-/// plan cache, everything else falls back to the exact O(N^2) dft/idft.
+/// Out-of-place transforms through the plan cache. Like fft_inplace, they
+/// throw std::invalid_argument unless the size is a power of two.
 CVec fft(std::span<const Complex> x);
 CVec ifft(std::span<const Complex> x);
 
-/// O(N^2) reference DFT, any size. Used by tests and small transforms.
+/// O(N^2) reference DFT, any size: the value the fast transforms are
+/// checked against.
 CVec dft(std::span<const Complex> x);
 
 /// O(N^2) inverse DFT with 1/N normalization, any size.
@@ -30,9 +30,6 @@ CVec idft(std::span<const Complex> x);
 constexpr bool is_power_of_two(std::size_t n) {
   return n != 0 && (n & (n - 1)) == 0;
 }
-
-/// Smallest power of two >= n.
-std::size_t next_power_of_two(std::size_t n);
 
 /// fftshift: swaps halves so DC ends up in the middle (even sizes) —
 /// convenient for plotting spectra.

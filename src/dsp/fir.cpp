@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "dsp/ola.h"
 #include "dsp/window.h"
 
 namespace itb::dsp {
@@ -63,7 +62,7 @@ RVec half_sine_pulse(std::size_t sps) {
 namespace {
 
 template <typename T>
-std::vector<T> convolve_direct_impl(std::span<const T> x, std::span<const Real> taps) {
+std::vector<T> convolve_impl(std::span<const T> x, std::span<const Real> taps) {
   if (x.empty() || taps.empty()) return {};
   std::vector<T> y(x.size() + taps.size() - 1, T{});
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -72,12 +71,6 @@ std::vector<T> convolve_direct_impl(std::span<const T> x, std::span<const Real> 
     }
   }
   return y;
-}
-
-CVec to_complex(std::span<const Real> x) {
-  CVec out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = Complex{x[i], 0.0};
-  return out;
 }
 
 template <typename T>
@@ -91,44 +84,12 @@ std::vector<T> filter_same_impl(std::span<const T> x, std::span<const Real> taps
 
 }  // namespace
 
-bool convolve_prefers_fft(std::size_t signal_len, std::size_t kernel_len) {
-  // Direct cost ~ signal_len * kernel_len multiply-adds; the spectral path
-  // costs ~2 log2(block) complex multiplies per output regardless of kernel
-  // length. Short kernels never win spectrally (FFT constant factor), and
-  // tiny signals don't amortize the kernel-spectrum FFT.
-  return kernel_len >= 32 && signal_len >= kernel_len &&
-         signal_len * kernel_len >= 32768;
-}
-
-CVec convolve_direct(std::span<const Complex> x, std::span<const Real> taps) {
-  return convolve_direct_impl(x, taps);
-}
-
-RVec convolve_direct(std::span<const Real> x, std::span<const Real> taps) {
-  return convolve_direct_impl(x, taps);
-}
-
-CVec convolve_fft(std::span<const Complex> x, std::span<const Real> taps) {
-  if (x.empty() || taps.empty()) return {};
-  return overlap_save_convolve(x, to_complex(taps));
-}
-
-RVec convolve_fft(std::span<const Real> x, std::span<const Real> taps) {
-  if (x.empty() || taps.empty()) return {};
-  const CVec y = overlap_save_convolve(to_complex(x), to_complex(taps));
-  RVec out(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) out[i] = y[i].real();
-  return out;
-}
-
 CVec convolve(std::span<const Complex> x, std::span<const Real> taps) {
-  return convolve_prefers_fft(x.size(), taps.size()) ? convolve_fft(x, taps)
-                                                     : convolve_direct(x, taps);
+  return convolve_impl(x, taps);
 }
 
 RVec convolve(std::span<const Real> x, std::span<const Real> taps) {
-  return convolve_prefers_fft(x.size(), taps.size()) ? convolve_fft(x, taps)
-                                                     : convolve_direct(x, taps);
+  return convolve_impl(x, taps);
 }
 
 CVec filter_same(std::span<const Complex> x, std::span<const Real> taps) {

@@ -1,10 +1,8 @@
 // FIR filter design (windowed-sinc) and filtering, plus the Gaussian pulse
 // shaping filter that defines BLE's GFSK spectral mask.
 //
-// Filtering has two execution paths: the naive O(N*K) direct form and an
-// FFT-based overlap-save form (dsp/ola.h). convolve()/filter_same() pick
-// automatically via a size-crossover heuristic; the _direct/_fft variants
-// pin the path (tests use them to cross-validate, benches to compare).
+// Filtering is the direct O(N*K) form: every filter the PHYs run is short
+// (the GFSK Gaussian has 25 taps), so a spectral path would not pay.
 #pragma once
 
 #include <span>
@@ -28,21 +26,8 @@ RVec design_gaussian(Real bt, std::size_t sps, std::size_t span_symbols);
 RVec half_sine_pulse(std::size_t sps);
 
 /// Full convolution: output length = x.size() + taps.size() - 1.
-/// Auto-dispatches between the direct and overlap-save paths.
 CVec convolve(std::span<const Complex> x, std::span<const Real> taps);
 RVec convolve(std::span<const Real> x, std::span<const Real> taps);
-
-/// Direct-form convolution (always O(N*K)).
-CVec convolve_direct(std::span<const Complex> x, std::span<const Real> taps);
-RVec convolve_direct(std::span<const Real> x, std::span<const Real> taps);
-
-/// FFT overlap-save convolution (always spectral).
-CVec convolve_fft(std::span<const Complex> x, std::span<const Real> taps);
-RVec convolve_fft(std::span<const Real> x, std::span<const Real> taps);
-
-/// True when the auto path would go spectral for these sizes (exposed so
-/// benches and tests can probe the crossover).
-bool convolve_prefers_fft(std::size_t signal_len, std::size_t kernel_len);
 
 /// "Same"-length filtering: convolution cropped to x.size() samples with the
 /// group delay compensated (taps must be odd-length for exact alignment).

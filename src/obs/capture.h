@@ -26,8 +26,8 @@ struct RunCapture {
   /// `itb.trace.events_dropped`).
   std::size_t trace_events_per_shard = 1 << 16;
 
-  /// Outputs, filled by run(): trace is finalized (merged + sorted); the
-  /// metrics snapshot is replaced by the run's counters, latency histogram
+  /// Outputs, replaced by each run(): trace is finalized (merged + sorted)
+  /// and the metrics snapshot holds the run's counters, latency histogram
   /// and whole-run gauges.
   TraceLog trace;
   MetricsSnapshot metrics;

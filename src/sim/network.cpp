@@ -850,6 +850,9 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
   if (cfg_.keep_per_tag) out.per_tag = std::move(tag_stats);
 
   if (capture != nullptr) {
+    // A reused capture holds the previous run's outputs: start both afresh.
+    capture->trace = obs::TraceLog{};
+    capture->metrics = obs::MetricsSnapshot{};
     if (capture->collect_trace) {
       for (std::size_t g = 0; g < num_groups; ++g) {
         capture->trace.set_process_name(
@@ -889,7 +892,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
     // The snapshot is a view of the merged stats: the counters in
     // kPollCounters order, then the latency histogram, whose count and sum
     // are the stats' own.
-    capture->metrics = obs::MetricsSnapshot{};
     for (const PollCounterRow& row : kPollCounters) {
       if (row.metric != nullptr) {
         capture->metrics.append_counter(row.metric, out.*row.field);

@@ -45,8 +45,8 @@ std::optional<DsssRxResult> DsssReceiver::receive(CVec chips) const {
 
   // --- 1. Chip-timing acquisition over the 11 possible alignments ----------
   // One sliding correlation over the probe region yields every
-  // (offset, symbol) Barker metric at once; the correlate API picks the
-  // direct or spectral path by size.
+  // (offset, symbol) Barker metric at once, through the real-pattern SIMD
+  // correlation kernel.
   const std::size_t probe_symbols = 16;
   const std::size_t probe_len =
       std::min(chips.size(), (probe_symbols + 1) * kBarker.size());

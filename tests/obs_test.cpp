@@ -440,6 +440,26 @@ TEST(NetworkCaptureTest, CaptureDigestsPinned) {
   EXPECT_EQ(fnv1a(trace_json(bounded.trace)), 0xe7be8bb3a0df7c4aULL);
 }
 
+TEST(NetworkCaptureTest, ReusedCaptureHoldsOnlyTheLastRun) {
+  // Bounded rings drop events, so the drop count is checked too: a capture
+  // run twice must hold the same trace, drop count and exported drop counter
+  // as a fresh one, not both runs' events, tracks and drops.
+  const sim::NetworkCoordinator net(ward_config());
+  obs::RunCapture fresh;
+  fresh.trace_events_per_shard = 16;
+  (void)net.run(&fresh);
+  ASSERT_GT(fresh.trace.dropped(), 0u);
+
+  obs::RunCapture reused;
+  reused.trace_events_per_shard = 16;
+  (void)net.run(&reused);
+  (void)net.run(&reused);
+  EXPECT_EQ(fnv1a(trace_json(reused.trace)), fnv1a(trace_json(fresh.trace)));
+  EXPECT_EQ(reused.trace.dropped(), fresh.trace.dropped());
+  EXPECT_EQ(reused.metrics.counter_value("itb.trace.events_dropped"),
+            fresh.metrics.counter_value("itb.trace.events_dropped"));
+}
+
 TEST(NetworkCaptureTest, TraceJsonParsesBackWithFaultSpans) {
   sim::NetworkConfig cfg = ward_config();
   cfg.num_threads = 2;
