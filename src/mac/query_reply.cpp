@@ -27,7 +27,6 @@ PollingConfig PollingConfig::validated() const {
     out.advertising_interval_ms = PollingConfig{}.advertising_interval_ms;
   }
   out.downlink_error_rate = clamp_probability(out.downlink_error_rate);
-  out.uplink_error_rate = clamp_probability(out.uplink_error_rate);
   return out;
 }
 
@@ -63,34 +62,6 @@ std::optional<QueryFrame> QueryFrame::from_bits(const Bits& bits) {
   const auto check = static_cast<std::uint8_t>(itb::phy::bits_to_uint_lsb_first(
       std::span<const std::uint8_t>(bits).subspan(16, 4)));
   if (check != checksum4(out.tag_address, out.opcode)) return std::nullopt;
-  return out;
-}
-
-PollingStats simulate_polling(const std::vector<PolledTag>& tags,
-                              const PollingConfig& cfg, std::size_t rounds,
-                              std::uint64_t seed) {
-  // Domain-separated substream ("poll"); see DESIGN.md determinism rules.
-  itb::dsp::Xoshiro256 rng(itb::dsp::splitmix64(seed ^ 0x706F6C6CULL));
-  PollingStats out;
-  double payload_bits_delivered = 0.0;
-
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (const PolledTag& tag : tags) {
-      ++out.queries_sent;
-      // Downlink query time + one advertising interval for the reply window.
-      out.total_time_us += poll_slot_us(cfg);
-
-      if (rng.uniform() < cfg.downlink_error_rate) continue;  // tag missed it
-      if (rng.uniform() < cfg.uplink_error_rate) continue;    // reply lost
-
-      ++out.replies_received;
-      payload_bits_delivered +=
-          static_cast<double>(tag.pending_payload.size()) * 8.0;
-    }
-  }
-
-  out.aggregate_goodput_kbps =
-      safe_goodput_kbps(payload_bits_delivered, out.total_time_us);
   return out;
 }
 

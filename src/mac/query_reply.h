@@ -1,14 +1,13 @@
 // Query-reply protocol tying the two directions together (paper §2.5):
 // the Wi-Fi device queries a tag over the OFDM-AM downlink; the addressed
 // tag answers on the backscatter uplink during the next BLE advertisement.
-// Multiple tags share the medium by being polled one after the other.
+// Multiple tags share the medium by being polled one after the other;
+// sim::NetworkCoordinator runs that schedule over a fleet.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
-#include "dsp/rng.h"
 #include "dsp/types.h"
 #include "phycommon/bits.h"
 
@@ -27,19 +26,6 @@ struct QueryFrame {
   static constexpr std::size_t kBits = 8 + 8 + 4;  ///< addr + op + checksum
 };
 
-struct PolledTag {
-  std::uint8_t address;
-  Bytes pending_payload;  ///< what the tag will backscatter when polled
-};
-
-struct PollingStats {
-  std::size_t queries_sent = 0;
-  std::size_t replies_received = 0;
-  double total_time_us = 0.0;
-  /// Effective aggregate goodput across all tags, kbps.
-  double aggregate_goodput_kbps = 0.0;
-};
-
 struct PollingConfig {
   /// Downlink bit rate (paper: 125 kbps with 2 OFDM symbols/bit).
   Real downlink_kbps = 125.0;
@@ -47,30 +33,23 @@ struct PollingConfig {
   Real advertising_interval_ms = 20.0;
   /// Per-query probability the downlink decode fails at the tag.
   Real downlink_error_rate = 0.01;
-  /// Per-reply probability the backscatter packet is lost.
-  Real uplink_error_rate = 0.05;
 
   /// Copy with degenerate values clamped, mirroring
   /// ReservationConfig::validated(): a zero/negative/NaN downlink rate or
   /// advertising interval would make poll_slot_us() zero, negative, or
-  /// infinite (and slot math downstream divides by it); error rates are
-  /// probabilities and clamp into [0, 1] (NaN -> 0).
+  /// infinite (and slot math downstream divides by it); the error rate is
+  /// a probability and clamps into [0, 1] (NaN -> 0).
   PollingConfig validated() const;
 };
 
 /// Air time of one TDMA poll slot (query transmission + the advertising
-/// interval in which the addressed tag may reply), microseconds. Shared by
-/// simulate_polling and the network simulator's slot schedule.
+/// interval in which the addressed tag may reply), microseconds: the slot
+/// length of sim::NetworkCoordinator's TDMA schedule.
 double poll_slot_us(const PollingConfig& cfg);
 
 /// `payload_bits` delivered over `total_time_us` -> kbps; 0 (not NaN/inf)
 /// when no air time was spent (zero tags, zero rounds, or empty payloads
 /// delivered in zero time).
 double safe_goodput_kbps(double payload_bits, double total_time_us);
-
-/// Simulates one round-robin polling sweep over the tags, `rounds` times.
-PollingStats simulate_polling(const std::vector<PolledTag>& tags,
-                              const PollingConfig& cfg, std::size_t rounds,
-                              std::uint64_t seed);
 
 }  // namespace itb::mac

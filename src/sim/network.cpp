@@ -9,7 +9,6 @@
 #include "backscatter/ic_power.h"
 #include "ble/channel_map.h"
 #include "channel/awgn.h"
-#include "core/interscatter.h"
 #include "core/parallel.h"
 #include "dsp/units.h"
 #include "obs/capture.h"
@@ -217,61 +216,39 @@ NetworkCoordinator::NetworkCoordinator(const NetworkConfig& cfg) : cfg_(cfg) {
     link.helper =
         static_cast<std::uint32_t>(helper_grid.nearest(placement_.tags[t]));
     link.ap = static_cast<std::uint32_t>(ap_grid.nearest(placement_.tags[t]));
-    link.helper_distance_m =
-        distance_m(placement_.helpers[link.helper], placement_.tags[t]);
-    link.ap_distance_m =
-        distance_m(placement_.aps[link.ap], placement_.tags[t]);
     // The pathloss model diverges as d -> 0; a tag is never closer than a
     // few cm to either radio.
-    link.helper_distance_m = std::max(link.helper_distance_m, Real{0.05});
-    link.ap_distance_m = std::max(link.ap_distance_m, Real{0.05});
+    const Real helper_distance_m = std::max(
+        distance_m(placement_.helpers[link.helper], placement_.tags[t]),
+        Real{0.05});
+    const Real ap_distance_m = std::max(
+        distance_m(placement_.aps[link.ap], placement_.tags[t]), Real{0.05});
 
     const itb::channel::BackscatterBudget::HelperLeg leg =
-        budget.helper_leg(link.helper_distance_m);
-    const itb::channel::LinkSample s = budget.sample(leg, link.ap_distance_m);
+        budget.helper_leg(helper_distance_m);
+    const itb::channel::LinkSample s = budget.sample(leg, ap_distance_m);
     link.reply_rssi_dbm = s.rssi_dbm;
     link.link_down = s.link_down;
     link.snr_db = s.snr_db;
 
-    link.downlink_rssi_dbm = downlink_rssi(link.ap_distance_m);
-    link.downlink_miss_prob = downlink_miss(link.downlink_rssi_dbm);
+    link.downlink_miss_prob = downlink_miss(downlink_rssi(ap_distance_m));
 
-    // Failover target: next-nearest AP, with its own precomputed budget.
+    // Failover target: the nearest AP other than the primary (raw
+    // distance, lowest index on ties), with its own precomputed budget.
     // Reassigning to a different Wi-Fi channel would rewrite the TDMA
     // schedule mid-run, so failover keeps the tag's FDMA group and only
     // swaps which AP transmits/receives.
     if (cfg_.ap_failover && placement_.aps.size() > 1) {
       const std::size_t fo = ap_grid.nearest(placement_.tags[t], link.ap);
-      Real best = std::max(distance_m(placement_.aps[fo], placement_.tags[t]),
-                           Real{0.05});
-      link.has_failover = true;
-      link.failover_ap = static_cast<std::uint32_t>(fo);
-      // The historical scan compared *clamped* distances, which ties every
-      // AP inside the 5 cm floor and resolves to the lowest index. The
-      // grid compares raw distances, so replay the reference scan in that
-      // (vanishingly rare) regime to stay bit-identical.
-      if (best <= Real{0.05}) {
-        link.has_failover = false;
-        for (std::size_t a = 0; a < placement_.aps.size(); ++a) {
-          if (a == link.ap) continue;
-          const Real d = std::max(
-              distance_m(placement_.aps[a], placement_.tags[t]), Real{0.05});
-          if (!link.has_failover || d < best) {
-            link.has_failover = true;
-            link.failover_ap = static_cast<std::uint32_t>(a);
-            best = d;
-          }
-        }
-      }
-      if (link.has_failover) {
-        const itb::channel::LinkSample fs = budget.sample(leg, best);
-        if (fs.link_down) {
-          link.has_failover = false;
-        } else {
-          link.failover_snr_db = fs.snr_db;
-          link.failover_downlink_miss_prob =
-              downlink_miss(downlink_rssi(best));
-        }
+      const Real fo_distance_m = std::max(
+          distance_m(placement_.aps[fo], placement_.tags[t]), Real{0.05});
+      const itb::channel::LinkSample fs = budget.sample(leg, fo_distance_m);
+      if (!fs.link_down) {
+        link.has_failover = true;
+        link.failover_ap = static_cast<std::uint32_t>(fo);
+        link.failover_snr_db = fs.snr_db;
+        link.failover_downlink_miss_prob =
+            downlink_miss(downlink_rssi(fo_distance_m));
       }
     }
   };
@@ -907,70 +884,6 @@ NetworkStats NetworkCoordinator::run(obs::RunCapture* capture) const {
                                   out.aggregate_goodput_kbps);
     capture->metrics.append_gauge("itb.sim.delivery_ratio",
                                   out.delivery_ratio);
-  }
-  return out;
-}
-
-std::vector<SpotCheckResult> NetworkCoordinator::spot_check_waveform(
-    std::size_t links) const {
-  std::vector<SpotCheckResult> out;
-  const std::size_t n = placement_.tags.size();
-  if (n == 0 || links == 0) return out;
-  links = std::min(links, n);
-
-  // Sample round-robin across the FDMA groups (then strided within each
-  // group) so the cross-check always exercises every Wi-Fi channel's SSB
-  // shift; a plain stride over tag ids would alias with the round-robin
-  // channel assignment and could sample a single channel.
-  const std::size_t num_groups = group_tags_.size();
-  const std::size_t per_group = (links + num_groups - 1) / num_groups;
-  for (std::size_t i = 0; i < links; ++i) {
-    const std::size_t g = i % num_groups;
-    const std::vector<std::uint32_t>& group = group_tags_[g];
-    if (group.empty()) continue;
-    const std::size_t inner_stride =
-        std::max<std::size_t>(1, group.size() / per_group);
-    const std::size_t j = std::min((i / num_groups) * inner_stride,
-                                   group.size() - 1);
-    const std::size_t t = group[j];
-    const TagLink& link = links_[t];
-
-    itb::core::UplinkScenario s;
-    s.ble_tag_distance_m = link.helper_distance_m;
-    s.tag_rx_distance_m = link.ap_distance_m;
-    s.ble_tx_power_dbm = cfg_.ble_tx_power_dbm;
-    s.ble_channel = cfg_.ble_channel;
-    s.wifi_channel = link.wifi_channel;
-    s.rate = cfg_.rate;
-    s.tag_medium_loss_db = cfg_.tag_medium_loss_db;
-    s.pathloss_exponent = cfg_.pathloss_exponent;
-    s.rx_noise_figure_db = cfg_.rx_noise_figure_db;
-    s.seed = itb::core::trial_seed(cfg_.seed, t, 0xC0FFEE);
-
-    const itb::core::InterscatterSystem sys(s);
-    itb::phy::Bytes psdu(cfg_.payload_bytes);
-    for (std::size_t b = 0; b < psdu.size(); ++b) {
-      psdu[b] = static_cast<std::uint8_t>(b * 31 + 7 + t);
-    }
-    const auto wf = sys.simulate_frame(psdu);
-    // Compare against the budget PER at the raw link SNR: the waveform path
-    // has no cross-channel aggressors, so leakage is excluded on both sides.
-    const double per =
-        itb::channel::per_80211b(cfg_.rate, link.snr_db, cfg_.payload_bytes);
-
-    SpotCheckResult r;
-    r.tag_id = static_cast<std::uint32_t>(t);
-    r.budget_per = per;
-    r.budget_snr_db = link.snr_db;
-    r.waveform_decoded = wf.payload_ok;
-    if (per < 0.1) {
-      r.consistent = wf.payload_ok;
-    } else if (per > 0.9) {
-      r.consistent = !wf.payload_ok;
-    } else {
-      r.consistent = true;  // coin-flip region: either outcome is plausible
-    }
-    out.push_back(r);
   }
   return out;
 }

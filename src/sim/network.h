@@ -42,11 +42,11 @@
 // closed forms for an ideal radio), so 5000 tags simulate in seconds. The
 // RF impairment presets exist only on the waveform path: no closed-form
 // SNR penalty reproduces the shifts and error floors they cause there
-// (DESIGN.md "RF impairment chain"). spot_check_waveform() optionally
-// re-simulates a deterministic sample of links through the full, ideal
-// waveform pipeline (core::InterscatterSystem) and reports agreement — the
-// network-level extension of the budget-vs-waveform cross-check in
-// tests/full_loop_test.cpp.
+// (DESIGN.md "RF impairment chain"). Where the closed forms meet the
+// waveform PHY is checked per link, not per fleet: the budget-vs-waveform
+// cross-checks in tests/core_test.cpp, and tests/sim_test.cpp checks that
+// every stored link SNR is channel::backscatter_rssi() at the tag's
+// clamped distances.
 //
 // Determinism: see DESIGN.md "Network simulator determinism" and "Fault
 // model and recovery determinism". Shards are a fixed partition of the tag
@@ -137,11 +137,8 @@ struct TagLink {
   std::uint32_t helper = 0;  ///< nearest BLE helper
   std::uint32_t ap = 0;      ///< nearest AP (receives this group's replies)
   unsigned wifi_channel = 0;
-  Real helper_distance_m = 0.0;
-  Real ap_distance_m = 0.0;
   Real reply_rssi_dbm = 0.0;  ///< budget-level reply RSSI at the AP
   Real snr_db = 0.0;          ///< reply SNR before leakage noise rise
-  Real downlink_rssi_dbm = 0.0;
   Real downlink_miss_prob = 0.0;
   Real reply_per = 0.0;       ///< PER at the leakage-degraded SNR
   /// Budget declared the link dead (channel::backscatter_rssi guard):
@@ -155,7 +152,7 @@ struct TagLink {
   /// the others; those hold 1.0, as failover_waveform_per does for a tag
   /// without failover.
   std::array<Real, mac::kNumLinkWaveforms> waveform_per{};
-  // --- AP failover (next-nearest AP, used when the primary is down) ----
+  // --- AP failover (nearest AP other than `ap`, used when it is down) --
   bool has_failover = false;
   std::uint32_t failover_ap = 0;
   Real failover_snr_db = itb::channel::kLinkDownDb;
@@ -163,18 +160,6 @@ struct TagLink {
   /// waveform_per at failover_snr_db, same rung range; all 1.0 without
   /// failover.
   std::array<Real, mac::kNumLinkWaveforms> failover_waveform_per{};
-};
-
-/// One sampled link re-run at waveform level next to its budget prediction.
-struct SpotCheckResult {
-  std::uint32_t tag_id = 0;
-  double budget_per = 0.0;
-  double budget_snr_db = 0.0;
-  bool waveform_decoded = false;
-  /// Budget and waveform agree: a link the budget calls near-certain
-  /// (PER < 0.1) decoded, one it calls near-dead (PER > 0.9) did not;
-  /// in-between links are accepted either way.
-  bool consistent = false;
 };
 
 class NetworkCoordinator {
@@ -190,11 +175,6 @@ class NetworkCoordinator {
   /// as the stats themselves (tests/obs_test.cpp). Null = no observation
   /// work beyond one branch per hook.
   NetworkStats run(obs::RunCapture* capture = nullptr) const;
-
-  /// Re-simulates `links` deterministically-sampled tag links through the
-  /// waveform pipeline (core::InterscatterSystem) and compares the decode
-  /// outcome against the budget-level PER the network simulation used.
-  std::vector<SpotCheckResult> spot_check_waveform(std::size_t links) const;
 
   // Introspection (tests, benches, examples).
   const NetworkConfig& config() const { return cfg_; }

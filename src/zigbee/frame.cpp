@@ -57,13 +57,15 @@ std::optional<ParsedPpdu> parse_ppdu(const Bytes& stream) {
 
 std::optional<ZigbeeRxResult> zigbee_receive(const CVec& samples) {
   const OqpskDemodulator demod;
-  constexpr std::size_t spc = kSamplesPerChip;
-
-  // Timing search within one branch period, keyed on finding the SFD. The
-  // noncoherent soft detector absorbs any static carrier rotation (the old
-  // 16-rotation sweep) and carrier offsets up to ~a radian per correlation
-  // sub-block — the tag-oscillator regime that breaks hard chip decisions.
-  for (std::size_t phase = 0; phase < 2 * spc; ++phase) {
+  // Timing search over one symbol period, keyed on finding the SFD: the
+  // symbol boundary of a frame that starts anywhere in the buffer lies
+  // within the first kChipsPerSymbol * kSamplesPerChip sample phases. The
+  // first phase whose bytes parse wins. The noncoherent soft detector
+  // absorbs any static carrier rotation and carrier offsets up to ~a
+  // radian per correlation sub-block — the tag-oscillator regime that
+  // breaks hard chip decisions.
+  for (std::size_t phase = 0; phase < kChipsPerSymbol * kSamplesPerChip;
+       ++phase) {
     const CVec soft = demod.soft_chips(samples, phase);
     const Bytes decoded = demod.soft_chips_to_bytes(soft);
     const auto parsed = parse_ppdu(decoded);

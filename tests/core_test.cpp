@@ -81,6 +81,7 @@ TEST(Interscatter, WaveformAgreesWithBudgetNearThreshold) {
   bad.ble_tx_power_dbm = 0.0;
   bad.tag_rx_distance_m = 90.0;
   EXPECT_GT(InterscatterSystem(bad).budget(31).per, 0.5);
+  EXPECT_FALSE(InterscatterSystem(bad).simulate_frame(itb::phy::Bytes(31, 1)).payload_ok);
 }
 
 TEST(Interscatter, TissueLossShrinksRange) {

@@ -18,7 +18,6 @@
 #include "core/interscatter.h"
 #include "dsp/units.h"
 #include "mac/query_reply.h"
-#include "sim/network.h"
 #include "wifi/am_downlink.h"
 #include "wifi/dsss_rx.h"
 #include "wifi/mac_frame.h"
@@ -190,40 +189,6 @@ TEST(FullLoop, DownlinkThenUplinkThroughScenarios) {
   const auto u = core::InterscatterSystem(up).simulate_frame(
       phy::Bytes{0xCA, 0xFE, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06});
   EXPECT_TRUE(u.payload_ok);
-}
-
-TEST(FullLoop, NetworkBudgetAgreesWithWaveformSpotCheck) {
-  // Network-level extension of the budget-vs-waveform cross-check: the
-  // fleet simulator draws every link outcome from the closed-form budget;
-  // re-simulating sampled links through the full waveform pipeline must
-  // agree on decode success. Two regimes pin both tails of the PER curve.
-  sim::NetworkConfig strong;
-  strong.topology.kind = sim::TopologyKind::kGrid;
-  strong.topology.num_tags = 9;
-  strong.topology.extent_m = 2.0;  // everything within a couple of meters
-  strong.topology.num_helpers = 4;
-  strong.topology.num_aps = 2;
-  strong.tag_medium_loss_db = 0.0;
-  strong.payload_bytes = 24;
-  const auto good = sim::NetworkCoordinator(strong).spot_check_waveform(3);
-  ASSERT_EQ(good.size(), 3u);
-  for (const auto& c : good) {
-    EXPECT_LT(c.budget_per, 0.1);
-    EXPECT_TRUE(c.waveform_decoded);
-    EXPECT_TRUE(c.consistent);
-  }
-
-  sim::NetworkConfig weak = strong;
-  weak.topology.extent_m = 120.0;    // links tens of meters long
-  weak.tag_medium_loss_db = 20.0;    // deep-implant tissue loss
-  weak.ble_tx_power_dbm = 0.0;
-  const auto bad = sim::NetworkCoordinator(weak).spot_check_waveform(3);
-  ASSERT_EQ(bad.size(), 3u);
-  for (const auto& c : bad) {
-    EXPECT_GT(c.budget_per, 0.9);
-    EXPECT_FALSE(c.waveform_decoded);
-    EXPECT_TRUE(c.consistent);
-  }
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 // and 8 worker threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
 
+#include "channel/link.h"
 #include "sim/entity_stream.h"
 #include "sim/network.h"
 #include "sim/stats.h"
@@ -289,6 +291,14 @@ TEST(Network, EmptyFleetYieldsZeroesNotNan) {
   EXPECT_DOUBLE_EQ(s.aggregate_goodput_kbps, 0.0);
   EXPECT_FALSE(std::isnan(s.mean_tag_goodput_kbps));
   EXPECT_FALSE(std::isnan(s.mean_harvest_duty));
+
+  // Zero rounds: tags present, no air time spent.
+  NetworkConfig idle = small_ward_config();
+  idle.rounds = 0;
+  const NetworkStats z = NetworkCoordinator(idle).run();
+  EXPECT_EQ(z.queries_sent, 0u);
+  EXPECT_DOUBLE_EQ(z.aggregate_goodput_kbps, 0.0);
+  EXPECT_DOUBLE_EQ(z.mean_tag_goodput_kbps, 0.0);
 }
 
 TEST(Network, RejectsDegenerateConfigs) {
@@ -316,26 +326,93 @@ TEST(Network, MoreTagsStretchTailLatency) {
             a.query_latency.quantile_us(0.99));
 }
 
-TEST(Network, SpotCheckAgreesOnStrongLinks) {
-  // Short-range grid: every budget PER is ~0, so every sampled waveform
-  // link must actually decode (the network-level fidelity cross-check).
+// --- link build: every stored SNR is the closed-form budget ---------------
+
+/// The budget inputs the coordinator reads from its config.
+itb::channel::BackscatterLinkConfig budget_config(const NetworkConfig& cfg,
+                                                  Real helper_distance_m) {
+  itb::channel::BackscatterLinkConfig b;
+  b.ble_tx_power_dbm = cfg.ble_tx_power_dbm;
+  b.tag_medium_loss_db = cfg.tag_medium_loss_db;
+  b.rx_noise_figure_db = cfg.rx_noise_figure_db;
+  b.pathloss.exponent = cfg.pathloss_exponent;
+  b.ble_tag_distance_m = helper_distance_m;
+  return b;
+}
+
+/// Nearest AP other than `primary` by raw distance, lowest index on ties.
+std::size_t nearest_other_ap(const std::vector<Vec2>& aps, const Vec2& p,
+                             std::size_t primary) {
+  std::size_t best = aps.size();
+  for (std::size_t a = 0; a < aps.size(); ++a) {
+    if (a == primary) continue;
+    if (best == aps.size() || distance_m(aps[a], p) < distance_m(aps[best], p)) {
+      best = a;
+    }
+  }
+  return best;
+}
+
+TEST(Network, LinkSnrIsBudgetAtClampedDistances) {
+  // The fleet draws every outcome from the closed-form budget, so each
+  // tag's stored SNR must be channel::backscatter_rssi() at the distances
+  // to its nearest helper and AP, clamped to the 5 cm pathloss floor, bit
+  // for bit; the failover SNR likewise at the nearest other AP.
+  NetworkConfig cfg = small_ward_config();
+  cfg.topology.num_aps = 4;
+  cfg.ap_failover = true;
+  const NetworkCoordinator net(cfg);
+  const Placement p = generate_topology(cfg.topology);
+  ASSERT_EQ(net.links().size(), p.tags.size());
+  for (std::size_t t = 0; t < p.tags.size(); ++t) {
+    const TagLink& link = net.links()[t];
+    const Vec2& tag = p.tags[t];
+    ASSERT_EQ(link.helper, nearest_index(p.helpers, tag));
+    ASSERT_EQ(link.ap, nearest_index(p.aps, tag));
+    const auto b = budget_config(
+        cfg, std::max(distance_m(p.helpers[link.helper], tag), Real{0.05}));
+    const Real d_ap = std::max(distance_m(p.aps[link.ap], tag), Real{0.05});
+    EXPECT_EQ(link.snr_db, itb::channel::backscatter_rssi(b, d_ap).snr_db)
+        << "tag " << t;
+
+    ASSERT_TRUE(link.has_failover);
+    ASSERT_EQ(link.failover_ap, nearest_other_ap(p.aps, tag, link.ap));
+    const Real d_fo =
+        std::max(distance_m(p.aps[link.failover_ap], tag), Real{0.05});
+    EXPECT_EQ(link.failover_snr_db,
+              itb::channel::backscatter_rssi(b, d_fo).snr_db)
+        << "tag " << t;
+  }
+}
+
+TEST(Network, FailoverInsideFiveCmFloorIsNearestOtherAp) {
+  // A 2 cm grid puts every helper and AP inside the 5 cm pathloss floor,
+  // so all budgets tie at 0.05 m. The failover AP is still the nearest
+  // other AP by raw distance: for a tag at the right-hand column that is
+  // AP 1, not the lowest-index AP 0.
   NetworkConfig cfg;
   cfg.topology.kind = TopologyKind::kGrid;
-  cfg.topology.num_tags = 12;
-  cfg.topology.extent_m = 2.0;
-  cfg.topology.num_helpers = 4;
-  cfg.topology.num_aps = 2;
-  cfg.tag_medium_loss_db = 0.0;
-  cfg.ble_tx_power_dbm = 10.0;
-  cfg.payload_bytes = 24;
+  cfg.topology.num_tags = 9;
+  cfg.topology.num_helpers = 1;
+  cfg.topology.num_aps = 3;
+  cfg.topology.extent_m = 0.02;
+  cfg.ap_failover = true;
   const NetworkCoordinator net(cfg);
-  const auto checks = net.spot_check_waveform(3);
-  ASSERT_EQ(checks.size(), 3u);
-  for (const SpotCheckResult& c : checks) {
-    EXPECT_LT(c.budget_per, 0.1);
-    EXPECT_TRUE(c.waveform_decoded);
-    EXPECT_TRUE(c.consistent);
+  const Placement p = generate_topology(cfg.topology);
+  const Real floor_snr_db =
+      itb::channel::backscatter_rssi(budget_config(cfg, 0.05), 0.05).snr_db;
+  std::size_t not_lowest_index = 0;
+  for (std::size_t t = 0; t < p.tags.size(); ++t) {
+    const TagLink& link = net.links()[t];
+    ASSERT_TRUE(link.has_failover);
+    EXPECT_EQ(link.failover_ap, nearest_other_ap(p.aps, p.tags[t], link.ap))
+        << "tag " << t;
+    EXPECT_EQ(link.failover_snr_db, floor_snr_db) << "tag " << t;
+    EXPECT_EQ(link.snr_db, floor_snr_db) << "tag " << t;
+    const std::uint32_t lowest_other = link.ap == 0 ? 1 : 0;
+    if (link.failover_ap != lowest_other) ++not_lowest_index;
   }
+  EXPECT_GT(not_lowest_index, 0u);
 }
 
 }  // namespace

@@ -127,12 +127,19 @@ TEST(Frame, PpduLayout) {
 }
 
 TEST(Frame, TransmitReceiveRoundTrip) {
+  // The frame may start anywhere in the buffer: every leading offset across
+  // one symbol period (kChipsPerSymbol * kSamplesPerChip samples) decodes.
   const Bytes payload = {'z', 'i', 'g', 'b', 'e', 'e', '!', 0x00, 0xFF};
   const ZigbeeTxResult tx = zigbee_transmit(payload);
-  const auto rx = zigbee_receive(tx.baseband);
-  ASSERT_TRUE(rx.has_value());
-  EXPECT_TRUE(rx->fcs_ok);
-  EXPECT_EQ(rx->payload, payload);
+  for (std::size_t offset = 0; offset < kChipsPerSymbol * kSamplesPerChip;
+       ++offset) {
+    CVec delayed(offset);
+    delayed.insert(delayed.end(), tx.baseband.begin(), tx.baseband.end());
+    const auto rx = zigbee_receive(delayed);
+    ASSERT_TRUE(rx.has_value()) << "offset " << offset;
+    EXPECT_TRUE(rx->fcs_ok) << "offset " << offset;
+    EXPECT_EQ(rx->payload, payload) << "offset " << offset;
+  }
 }
 
 TEST(Frame, ReceiveWithNoise) {
